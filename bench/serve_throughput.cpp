@@ -124,7 +124,7 @@ int main() {
     ic::serve::InferenceEngine engine(registry, options);
     engine.register_circuit("default", circuit);
 
-    // Warm the cache and the per-executor replicas out of band.
+    // Warm the feature cache out of band.
     ic::serve::PredictRequest warmup;
     warmup.selection = selections[0];
     engine.predict(warmup);
@@ -180,7 +180,7 @@ int main() {
     ic::serve::InferenceEngine engine(registry, options);
     engine.register_circuit("default", circuit);
 
-    // Warm the cache and every shard's replicas out of band.
+    // Warm the feature cache and every shard's batcher out of band.
     for (std::size_t i = 0; i < selections.size(); ++i) {
       ic::serve::PredictRequest warmup;
       warmup.selection = selections[i];

@@ -67,7 +67,7 @@
 //   --profile-out <file>  run the in-process sampling profiler (SIGPROF,
 //                         99 Hz) for the whole command and write
 //                         flamegraph-compatible folded stacks to <file> on
-//                         exit. ICNET_PROFILE=path[,hz][,seconds] arms the
+//                         exit. ICNET_PROFILE_OUT=path[,hz][,seconds] arms the
 //                         same profiler from the environment; on a live
 //                         server, {"op":"profile"} starts/stops/dumps it
 //                         without restarting (see `query --op profile`)
@@ -696,7 +696,7 @@ int main(int argc, char** argv) {
   auto flush_telemetry = [&]() {
     if (heartbeat != nullptr) heartbeat->stop();
     // Stops the sampler and writes the folded stacks, when --profile-out or
-    // ICNET_PROFILE armed one. Idempotent.
+    // ICNET_PROFILE_OUT armed one. Idempotent.
     ic::telemetry::profile_flush();
     if (!trace_out.empty()) ic::telemetry::dump_trace(trace_out);
     if (flusher != nullptr) {
@@ -737,7 +737,7 @@ int main(int argc, char** argv) {
       ic::telemetry::set_profile_output(profile_out);
       ic::telemetry::Profiler::global().start({});
     } else {
-      ic::telemetry::profile_from_env();  // ICNET_PROFILE=path[,hz][,seconds]
+      ic::telemetry::profile_from_env();  // ICNET_PROFILE_OUT=path[,hz][,seconds]
     }
     const std::string jobs = take_opt(args, "jobs");
     if (!jobs.empty()) {

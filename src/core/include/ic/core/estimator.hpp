@@ -96,6 +96,7 @@ class RuntimeEstimator {
 
   EstimatorOptions options_;
   std::unique_ptr<nn::GnnRegressor> model_;
+  nn::Tape last_tape_;  ///< of the most recent prediction; feature_attention()
   std::shared_ptr<const graph::SparseMatrix> structure_;
   std::shared_ptr<const circuit::Netlist> circuit_;
   bool fitted_ = false;

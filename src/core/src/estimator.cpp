@@ -79,7 +79,7 @@ double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selectio
   telemetry::TraceSpan span("estimator/predict");
   telemetry::MetricsRegistry::global().counter("estimator.predictions").add(1);
   const auto x = data::gate_features(*circuit_, selection, options_.features);
-  return model_->predict(*structure_, x);
+  return model_->forward(*structure_, x, last_tape_);
 }
 
 double RuntimeEstimator::predict_seconds(const std::vector<GateId>& selection) {
@@ -114,7 +114,7 @@ double RuntimeEstimator::evaluate(const data::Dataset& dataset) {
 std::vector<double> RuntimeEstimator::feature_attention() const {
   IC_CHECK(options_.readout == nn::Readout::Attention,
            "feature attention requires the Attention readout");
-  return model_->last_feature_attention();
+  return last_tape_.feat_attention;
 }
 
 void RuntimeEstimator::save(const std::string& path) const {

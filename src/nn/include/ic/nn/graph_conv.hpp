@@ -6,10 +6,13 @@
 //   * Chebyshev  — H_out = Σ_k T_k(S) · H · W_k + b with the recurrence
 //     T_0 = I, T_1 = S, T_k = 2 S T_{k−1} − T_{k−2}   (ChebNet; S is the
 //     scaled normalized Laplacian)
-// Manual backward pass; gradients accumulate until zero_grad().
+// The layer holds only its parameters. forward() leaves what backward()
+// needs in a caller-owned basis, and backward() adds into caller-owned
+// gradients, so one layer serves any number of concurrent passes.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ic/graph/matrix.hpp"
@@ -26,20 +29,26 @@ class GraphConv {
   GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
             std::size_t out_features, Rng& rng);
 
-  /// Forward pass; caches activations for backward().
+  /// Forward pass (before the activation). Fills `basis` with Z_k
+  /// (Chebyshev) or {S·H} (Propagate) for backward().
   graph::Matrix forward(const graph::SparseMatrix& structure,
-                        const graph::Matrix& input);
+                        const graph::Matrix& input,
+                        std::vector<graph::Matrix>& basis) const;
 
-  /// Backward pass for the most recent forward(); returns dL/d(input) and
-  /// accumulates dL/dW, dL/db.
-  graph::Matrix backward(const graph::Matrix& d_output);
+  /// Backward pass for the forward() that filled `basis`; returns
+  /// dL/d(input) and adds dL/dW_k, dL/db into `grads`, which is laid out
+  /// like parameters().
+  graph::Matrix backward(const graph::SparseMatrix& structure,
+                         const std::vector<graph::Matrix>& basis,
+                         const graph::Matrix& d_output,
+                         std::span<graph::Matrix> grads) const;
 
-  void zero_grad();
+  /// W_0 … W_{order−1}, then the bias.
   std::vector<graph::Matrix*> parameters();
-  std::vector<graph::Matrix*> gradients();
 
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }
+  std::size_t order() const { return order_; }
   ConvMode mode() const { return mode_; }
 
  private:
@@ -50,22 +59,13 @@ class GraphConv {
 
   std::vector<graph::Matrix> weights_;  // order_ matrices (in×out)
   graph::Matrix bias_;                  // 1×out, broadcast over gates
-  std::vector<graph::Matrix> d_weights_;
-  graph::Matrix d_bias_;
-
-  // caches
-  const graph::SparseMatrix* structure_ = nullptr;
-  std::vector<graph::Matrix> basis_;  // Z_k (Chebyshev) or {S·H} (Propagate)
 };
 
-/// Elementwise ReLU with cached mask.
-class Relu {
- public:
-  graph::Matrix forward(const graph::Matrix& input);
-  graph::Matrix backward(const graph::Matrix& d_output) const;
+/// Elementwise max(x, 0).
+graph::Matrix relu(graph::Matrix input);
 
- private:
-  graph::Matrix mask_;
-};
+/// ReLU backward from the recorded output: d_output ⊙ [y > 0], in place.
+/// y > 0 exactly when x > 0, so no separate mask is kept.
+void relu_backward(const graph::Matrix& output, graph::Matrix& d_output);
 
 }  // namespace ic::nn

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ic/nn/graph_conv.hpp"
@@ -39,20 +38,43 @@ struct GnnConfig {
   std::uint64_t seed = 1;
 };
 
+/// What one forward pass records: the activations backward() needs and the
+/// attention weights behind the paper's Table III case study. The caller
+/// owns it, so a const model serves any number of concurrent passes.
+struct Tape {
+  struct Layer {
+    std::vector<graph::Matrix> basis;  ///< GraphConv::forward's record
+    graph::Matrix out;                 ///< post-ReLU output (n×h)
+  };
+  std::vector<Layer> layers;
+  std::vector<double> readout;         ///< r (d, or 1 for attention)
+  std::vector<double> feat_means;      ///< m_j
+  std::vector<double> feat_attention;  ///< a_j (Attention readout only)
+  std::vector<double> gate_repr;       ///< p_g
+  std::vector<double> gate_attention;  ///< b_g (Attention readout only)
+  double z = 0.0;                      ///< head pre-activation
+};
+
+/// Holds only its config and parameters; forward, predict and backward are
+/// const.
 class GnnRegressor {
  public:
   explicit GnnRegressor(const GnnConfig& config);
 
-  /// Predict the (log-scale) runtime for one graph. Does not cache.
-  double predict(const graph::SparseMatrix& structure,
-                 const graph::Matrix& features);
-
-  /// Forward with caches retained for backward().
+  /// The one forward pass, for training and inference alike. Returns the
+  /// (log-scale) runtime prediction and records the pass in `tape`.
   double forward(const graph::SparseMatrix& structure,
-                 const graph::Matrix& features);
+                 const graph::Matrix& features, Tape& tape) const;
 
-  /// Backpropagate dL/d(prediction); accumulates parameter gradients.
-  void backward(double d_prediction);
+  /// forward() on a local tape.
+  double predict(const graph::SparseMatrix& structure,
+                 const graph::Matrix& features) const;
+
+  /// Backpropagate dL/d(prediction) through the pass `tape` recorded on
+  /// `structure`, adding the parameter gradients into `grads` (laid out
+  /// like parameters(); see zero_gradients()).
+  void backward(const graph::SparseMatrix& structure, const Tape& tape,
+                double d_prediction, std::vector<graph::Matrix>& grads) const;
 
   /// Initialize the output head so the untrained model predicts roughly
   /// `target_mean`. Adam moves each scalar by ~learning-rate per step, so
@@ -60,46 +82,24 @@ class GnnRegressor {
   /// label offset. Called by train_gnn before the first epoch.
   void warm_start_head(double target_mean);
 
-  void zero_grad();
   std::vector<graph::Matrix*> parameters();
-  std::vector<graph::Matrix*> gradients();
+  std::vector<const graph::Matrix*> parameters() const;
+  /// Zero matrices shaped like parameters(), for backward() to add into.
+  std::vector<graph::Matrix> zero_gradients() const;
   std::size_t parameter_count() const;
 
   const GnnConfig& config() const { return config_; }
 
-  /// Feature-attention weights a_j of the last forward (Attention readout
-  /// only) — the quantity behind the paper's Table III case study.
-  const std::vector<double>& last_feature_attention() const {
-    return feat_attention_;
-  }
-  /// Gate-attention weights b_g of the last forward (Attention readout only).
-  const std::vector<double>& last_gate_attention() const {
-    return gate_attention_;
-  }
-
  private:
-  double head_forward(const std::vector<double>& readout_vec);
-
   GnnConfig config_;
   std::vector<GraphConv> convs_;
-  std::vector<Relu> relus_;
 
   // Attention parameters (1×d / 1×1 matrices so the optimizer is uniform).
-  graph::Matrix theta_feat_, d_theta_feat_;  // 1×d
-  graph::Matrix phi_gate_, d_phi_gate_;      // 1×1
+  graph::Matrix theta_feat_;  // 1×d
+  graph::Matrix phi_gate_;    // 1×1
   // Head parameters.
-  graph::Matrix head_w_, d_head_w_;  // r_dim×1
-  graph::Matrix head_b_, d_head_b_;  // 1×1
-
-  // ---- forward caches ----
-  graph::Matrix h_;                     // output of conv stack (n×d)
-  std::vector<double> readout_vec_;     // r (d, or 1 for attention)
-  std::vector<double> feat_means_;      // m_j
-  std::vector<double> feat_attention_;  // a_j
-  std::vector<double> gate_repr_;       // p_g
-  std::vector<double> gate_attention_;  // b_g
-  double z_ = 0.0;
-  std::size_t n_gates_ = 0;
+  graph::Matrix head_w_;  // r_dim×1
+  graph::Matrix head_b_;  // 1×1
 };
 
 }  // namespace ic::nn

@@ -37,10 +37,10 @@ struct TrainOptions {
   bool verbose = false;
   /// Per-graph forward/backward workers within a minibatch (0 = IC_JOBS,
   /// unset = serial). Each sample's gradient contribution is computed in a
-  /// per-sample buffer and reduced on the calling thread in sample order —
-  /// the exact additions the serial loop performs — so training is
-  /// bit-identical at any jobs value. Scaling is sublinear: the optimizer
-  /// step and the reduction stay serial (Amdahl).
+  /// per-sample buffer and reduced on the calling thread in sample order,
+  /// at jobs=1 too, so training is bit-identical at any jobs value.
+  /// Scaling is sublinear: the optimizer step and the reduction stay
+  /// serial (Amdahl).
   std::size_t jobs = 0;
 };
 
@@ -59,10 +59,11 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
                       const TrainOptions& options = {});
 
 /// Mean squared error of the model on a sample set.
-double evaluate_mse(GnnRegressor& model, const std::vector<GraphSample>& samples);
+double evaluate_mse(const GnnRegressor& model,
+                    const std::vector<GraphSample>& samples);
 
 /// Predictions for each sample in order.
-std::vector<double> predict_all(GnnRegressor& model,
+std::vector<double> predict_all(const GnnRegressor& model,
                                 const std::vector<GraphSample>& samples);
 
 }  // namespace ic::nn

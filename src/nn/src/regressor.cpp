@@ -48,24 +48,19 @@ GnnRegressor::GnnRegressor(const GnnConfig& config) : config_(config) {
     const std::size_t order =
         config.conv_mode == ConvMode::Chebyshev ? config.cheb_order : 1;
     convs_.emplace_back(config.conv_mode, order, in, h, rng);
-    relus_.emplace_back();
     in = h;
   }
   const std::size_t d = config.hidden.back();
   const std::size_t r_dim = config.readout == Readout::Attention ? 1 : d;
 
   theta_feat_ = Matrix::random_uniform(1, d, 0.5, rng);
-  d_theta_feat_ = Matrix(1, d);
   phi_gate_ = Matrix::random_uniform(1, 1, 0.5, rng);
-  d_phi_gate_ = Matrix(1, 1);
   head_w_ = Matrix::random_uniform(r_dim, 1, std::sqrt(6.0 / (r_dim + 1.0)), rng);
-  d_head_w_ = Matrix(r_dim, 1);
   head_b_ = Matrix(1, 1);
   // Start the exponential head in its linear region: softplus saturates to
   // zero gradient for z << 0, which would freeze training if the first
   // updates overshoot.
   if (config.exp_head) head_b_(0, 0) = 1.0;
-  d_head_b_ = Matrix(1, 1);
 }
 
 void GnnRegressor::warm_start_head(double target_mean) {
@@ -78,78 +73,92 @@ void GnnRegressor::warm_start_head(double target_mean) {
   }
 }
 
-double GnnRegressor::head_forward(const std::vector<double>& r) {
-  IC_ASSERT(r.size() == static_cast<std::size_t>(head_w_.rows()));
-  double z = head_b_(0, 0);
-  for (std::size_t i = 0; i < r.size(); ++i) z += r[i] * head_w_(i, 0);
-  z_ = z;
-  return config_.exp_head ? softplus(z) : z;
-}
-
-double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x) {
+double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
+                             Tape& tape) const {
   IC_ASSERT(x.cols() == config_.in_features);
-  n_gates_ = x.rows();
-  Matrix h = x;
+  tape.layers.resize(convs_.size());
+  const Matrix* input = &x;
   for (std::size_t i = 0; i < convs_.size(); ++i) {
-    h = relus_[i].forward(convs_[i].forward(s, h));
+    Tape::Layer& layer = tape.layers[i];
+    layer.out = relu(convs_[i].forward(s, *input, layer.basis));
     telemetry::mark_stage(telemetry::Stage::Dense);  // charge the ReLU here
+    input = &layer.out;
   }
-  h_ = std::move(h);
-  const std::size_t d = h_.cols();
-  const std::size_t n = h_.rows();
+  const Matrix& h = *input;
+  const std::size_t d = h.cols();
+  const std::size_t n = h.rows();
 
-  readout_vec_.clear();
+  tape.readout.clear();
   switch (config_.readout) {
     case Readout::Sum:
-      readout_vec_ = h_.col_sums();
+      tape.readout = h.col_sums();
       break;
     case Readout::Mean:
-      readout_vec_ = h_.col_means();
+      tape.readout = h.col_means();
       break;
     case Readout::Attention: {
       // Feature attention: a = softmax_j(θ_j · mean_g H[g,j]).
-      feat_means_ = h_.col_means();
-      feat_attention_.assign(d, 0.0);
+      tape.feat_means = h.col_means();
+      tape.feat_attention.assign(d, 0.0);
       for (std::size_t j = 0; j < d; ++j) {
-        feat_attention_[j] = theta_feat_(0, j) * feat_means_[j];
+        tape.feat_attention[j] = theta_feat_(0, j) * tape.feat_means[j];
       }
-      softmax_inplace(feat_attention_);
+      softmax_inplace(tape.feat_attention);
       // Per-gate scalar p_g = Σ_j a_j H[g,j].
-      gate_repr_.assign(n, 0.0);
+      tape.gate_repr.assign(n, 0.0);
       for (std::size_t g = 0; g < n; ++g) {
         double acc = 0.0;
-        for (std::size_t j = 0; j < d; ++j) acc += feat_attention_[j] * h_(g, j);
-        gate_repr_[g] = acc;
+        for (std::size_t j = 0; j < d; ++j) acc += tape.feat_attention[j] * h(g, j);
+        tape.gate_repr[g] = acc;
       }
       // Gate attention: b = softmax_g(φ · p_g); r = Σ_g b_g p_g.
-      gate_attention_ = gate_repr_;
-      for (double& sgi : gate_attention_) sgi *= phi_gate_(0, 0);
-      softmax_inplace(gate_attention_);
+      tape.gate_attention = tape.gate_repr;
+      for (double& sgi : tape.gate_attention) sgi *= phi_gate_(0, 0);
+      softmax_inplace(tape.gate_attention);
       double r = 0.0;
-      for (std::size_t g = 0; g < n; ++g) r += gate_attention_[g] * gate_repr_[g];
-      readout_vec_.push_back(r);
+      for (std::size_t g = 0; g < n; ++g) {
+        r += tape.gate_attention[g] * tape.gate_repr[g];
+      }
+      tape.readout.push_back(r);
       break;
     }
   }
-  const double prediction = head_forward(readout_vec_);
+
+  IC_ASSERT(tape.readout.size() == head_w_.rows());
+  double z = head_b_(0, 0);
+  for (std::size_t i = 0; i < tape.readout.size(); ++i) {
+    z += tape.readout[i] * head_w_(i, 0);
+  }
+  tape.z = z;
+  const double prediction = config_.exp_head ? softplus(z) : z;
   telemetry::mark_stage(telemetry::Stage::Readout);
   return prediction;
 }
 
-double GnnRegressor::predict(const SparseMatrix& s, const Matrix& x) {
-  return forward(s, x);
+double GnnRegressor::predict(const SparseMatrix& s, const Matrix& x) const {
+  Tape tape;
+  return forward(s, x, tape);
 }
 
-void GnnRegressor::backward(double d_pred) {
-  const std::size_t d = h_.cols();
-  const std::size_t n = h_.rows();
+void GnnRegressor::backward(const SparseMatrix& s, const Tape& tape,
+                            double d_pred, std::vector<Matrix>& grads) const {
+  IC_ASSERT(tape.layers.size() == convs_.size());
+  // Slots follow parameters(): each conv's W_k and b, then θ_feat and φ_gate
+  // (Attention readout only), then the head's w and b.
+  IC_ASSERT(grads.size() == parameters().size());
+  const Matrix& h = tape.layers.back().out;
+  const std::size_t d = h.cols();
+  const std::size_t n = h.rows();
+  std::size_t slot = grads.size();
 
   // Head.
-  const double dz = config_.exp_head ? d_pred * sigmoid(z_) : d_pred;
-  d_head_b_(0, 0) += dz;
-  std::vector<double> dr(readout_vec_.size());
-  for (std::size_t i = 0; i < readout_vec_.size(); ++i) {
-    d_head_w_(i, 0) += dz * readout_vec_[i];
+  Matrix& d_head_b = grads[--slot];
+  Matrix& d_head_w = grads[--slot];
+  const double dz = config_.exp_head ? d_pred * sigmoid(tape.z) : d_pred;
+  d_head_b(0, 0) += dz;
+  std::vector<double> dr(tape.readout.size());
+  for (std::size_t i = 0; i < tape.readout.size(); ++i) {
+    d_head_w(i, 0) += dz * tape.readout[i];
     dr[i] = dz * head_w_(i, 0);
   }
 
@@ -168,36 +177,38 @@ void GnnRegressor::backward(double d_pred) {
       break;
     }
     case Readout::Attention: {
+      Matrix& d_phi_gate = grads[--slot];
+      Matrix& d_theta_feat = grads[--slot];
       const double drs = dr[0];
       const double phi = phi_gate_(0, 0);
       // r = Σ_g b_g p_g with b = softmax(φ p).
       // dr/dp_g = b_g + φ b_g (p_g − r).
-      const double r = readout_vec_[0];
+      const double r = tape.readout[0];
       std::vector<double> dp(n);
       double dphi = 0.0;
       for (std::size_t g = 0; g < n; ++g) {
-        const double bg = gate_attention_[g];
-        const double pg = gate_repr_[g];
+        const double bg = tape.gate_attention[g];
+        const double pg = tape.gate_repr[g];
         dp[g] = drs * (bg + phi * bg * (pg - r));
         dphi += drs * bg * (pg - r) * pg;
       }
-      d_phi_gate_(0, 0) += dphi;
+      d_phi_gate(0, 0) += dphi;
 
       // p_g = Σ_j a_j H[g,j]; a = softmax(e), e_j = θ_j m_j, m = col means.
       std::vector<double> da(d, 0.0);
       for (std::size_t g = 0; g < n; ++g) {
         for (std::size_t j = 0; j < d; ++j) {
-          dh(g, j) = dp[g] * feat_attention_[j];  // direct path
-          da[j] += dp[g] * h_(g, j);
+          dh(g, j) = dp[g] * tape.feat_attention[j];  // direct path
+          da[j] += dp[g] * h(g, j);
         }
       }
       // Softmax backward.
       double dot = 0.0;
-      for (std::size_t j = 0; j < d; ++j) dot += feat_attention_[j] * da[j];
+      for (std::size_t j = 0; j < d; ++j) dot += tape.feat_attention[j] * da[j];
       const double inv_n = 1.0 / static_cast<double>(n);
       for (std::size_t j = 0; j < d; ++j) {
-        const double de = feat_attention_[j] * (da[j] - dot);
-        d_theta_feat_(0, j) += de * feat_means_[j];
+        const double de = tape.feat_attention[j] * (da[j] - dot);
+        d_theta_feat(0, j) += de * tape.feat_means[j];
         const double dm = de * theta_feat_(0, j);
         for (std::size_t g = 0; g < n; ++g) dh(g, j) += dm * inv_n;
       }
@@ -207,16 +218,13 @@ void GnnRegressor::backward(double d_pred) {
 
   // Conv stack in reverse.
   for (std::size_t i = convs_.size(); i-- > 0;) {
-    dh = convs_[i].backward(relus_[i].backward(dh));
+    relu_backward(tape.layers[i].out, dh);
+    const std::size_t width = convs_[i].order() + 1;
+    slot -= width;
+    dh = convs_[i].backward(s, tape.layers[i].basis, dh,
+                            std::span<Matrix>(grads).subspan(slot, width));
   }
-}
-
-void GnnRegressor::zero_grad() {
-  for (auto& c : convs_) c.zero_grad();
-  d_theta_feat_ *= 0.0;
-  d_phi_gate_ *= 0.0;
-  d_head_w_ *= 0.0;
-  d_head_b_ *= 0.0;
+  IC_ASSERT(slot == 0);
 }
 
 std::vector<Matrix*> GnnRegressor::parameters() {
@@ -233,25 +241,20 @@ std::vector<Matrix*> GnnRegressor::parameters() {
   return out;
 }
 
-std::vector<Matrix*> GnnRegressor::gradients() {
-  std::vector<Matrix*> out;
-  for (auto& c : convs_) {
-    for (auto* g : c.gradients()) out.push_back(g);
-  }
-  if (config_.readout == Readout::Attention) {
-    out.push_back(&d_theta_feat_);
-    out.push_back(&d_phi_gate_);
-  }
-  out.push_back(&d_head_w_);
-  out.push_back(&d_head_b_);
+std::vector<const Matrix*> GnnRegressor::parameters() const {
+  const auto params = const_cast<GnnRegressor*>(this)->parameters();
+  return {params.begin(), params.end()};
+}
+
+std::vector<Matrix> GnnRegressor::zero_gradients() const {
+  std::vector<Matrix> out;
+  for (const Matrix* p : parameters()) out.emplace_back(p->rows(), p->cols());
   return out;
 }
 
 std::size_t GnnRegressor::parameter_count() const {
   std::size_t count = 0;
-  for (const auto& c : const_cast<GnnRegressor*>(this)->parameters()) {
-    count += c->size();
-  }
+  for (const Matrix* p : parameters()) count += p->size();
   return count;
 }
 

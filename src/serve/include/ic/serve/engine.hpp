@@ -6,8 +6,9 @@
 //     ──► promises fulfilled / completion callbacks invoked
 //
 // * Sharding: EngineOptions::shards creates N independent pipelines, each
-//   with its own bounded MPSC queue, mutex, batcher thread, worker pool, and
-//   per-executor model replicas. Admission takes only the target shard's
+//   with its own bounded MPSC queue, mutex, batcher thread, and worker pool.
+//   Every executor of every shard predicts from the registry's one immutable
+//   ModelSnapshot (predict is const). Admission takes only the target shard's
 //   lock — there is no global lock on the request path. The router hashes
 //   the registered circuit's fingerprint together with the selection, so a
 //   given (circuit, selection) query is shard-affine while a policy search
@@ -26,10 +27,10 @@
 // * Deadlines are per request (enqueue time + timeout_ms); an expired
 //   request is answered DeadlineExceeded without running inference.
 // * Micro-batching: each shard's batcher drains up to max_batch queued
-//   requests and fans them out with ThreadPool::parallel_for under the PR 2
-//   determinism contract — each request writes results[i], and each executor
-//   runs its own model replica, so concurrent answers are bit-identical to
-//   serial ones.
+//   requests and fans them out with ThreadPool::parallel_for under the
+//   determinism contract (DESIGN.md §8) — each request writes results[i],
+//   and the const forward pass keeps its activations on a per-call tape, so
+//   concurrent answers are bit-identical to serial ones.
 // * submit_async() is the event-driven server's path: instead of a future,
 //   the completion callback fires exactly once with the result — on the
 //   shard batcher thread normally, or on the submitting thread when the
@@ -41,13 +42,14 @@
 // serve.deadline_exceeded / serve.errors / serve.batches /
 // serve.slow_requests, gauges serve.queue_depth (all shards) and
 // serve.shard<k>.queue_depth, histograms serve.request_seconds (submit →
-// response), serve.queue_wait_seconds (submit → execution start) and
-// serve.compute_seconds (execution alone), spans serve/batch and
-// serve/request (annotated with the request_id). Requests slower end-to-end
-// than the slow-request threshold (EngineOptions::slow_request_ms, or the
-// IC_SLOW_REQUEST_MS environment variable when the option is left at -1)
-// additionally emit one "serve.slow_request" warn log line carrying the
-// request_id, circuit fingerprint, queue wait, and compute time.
+// response) and serve.stage.<stage>_seconds (the request's timeline split:
+// queue and batch_admit before execution, feature_build/spmm/dense/readout
+// during it), spans serve/batch and serve/request (annotated with the
+// request_id). Requests slower end-to-end than the slow-request threshold
+// (EngineOptions::slow_request_ms, or the IC_SLOW_REQUEST_MS environment
+// variable when the option is left at -1) additionally emit one
+// "serve.slow_request" warn log line carrying the request_id, circuit
+// fingerprint, queue wait, and compute time.
 #pragma once
 
 #include <atomic>
@@ -78,7 +80,7 @@ class Histogram;
 namespace ic::serve {
 
 struct EngineOptions {
-  /// Independent shard pipelines (queue + batcher + replicas each).
+  /// Independent shard pipelines (queue + batcher + worker pool each).
   std::size_t shards = 1;
   std::size_t max_queue = 1024;  ///< per-shard; reject beyond this depth
   std::size_t max_batch = 32;    ///< requests per micro-batch
@@ -222,14 +224,9 @@ class InferenceEngine {
     std::shared_ptr<const circuit::Netlist> netlist;
     std::uint64_t fingerprint = 0;
   };
-  /// Per-executor cached model copy, refreshed when the snapshot moves.
-  struct Replica {
-    std::uint64_t version = 0;
-    std::unique_ptr<nn::GnnRegressor> model;
-  };
-  /// One independent pipeline: bounded MPSC queue, batcher, worker pool,
-  /// per-executor replicas. Admission and batching touch only this state,
-  /// so shards never contend with each other.
+  /// One independent pipeline: bounded MPSC queue, batcher, worker pool.
+  /// Admission and batching touch only this state, so shards never contend
+  /// with each other.
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable work_cv;     // batcher wakeups
@@ -241,10 +238,6 @@ class InferenceEngine {
 
     support::ThreadPool* pool = nullptr;  // global or owned_pool
     std::unique_ptr<support::ThreadPool> owned_pool;
-    // replicas[executor][model name] — an executor's slot is only ever
-    // touched by that executor during this shard's parallel_for, so no lock
-    // is needed (executor ids are per-pool; each shard has its own array).
-    std::vector<std::map<std::string, Replica>> replicas;
     telemetry::Gauge* depth_gauge = nullptr;  // serve.shard<k>.queue_depth
     std::thread batcher;
   };
@@ -256,9 +249,8 @@ class InferenceEngine {
   /// TraceStore; called once per request at fulfillment.
   void finish_timeline(Pending& pending, std::size_t shard_index,
                        double total_seconds);
-  PredictResult process(Shard& shard, Pending& pending, std::size_t executor);
-  PredictResult process_inner(Shard& shard, Pending& pending,
-                              std::size_t executor,
+  PredictResult process(Pending& pending);
+  PredictResult process_inner(Pending& pending,
                               std::chrono::steady_clock::time_point started);
 
   ModelRegistry& registry_;

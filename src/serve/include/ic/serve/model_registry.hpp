@@ -10,9 +10,8 @@
 // and reloads the ones whose (mtime, size) changed. The TCP server runs this
 // on a timer; tests call it directly.
 //
-// Prediction is mutating (GnnRegressor caches its forward activations), so
-// the snapshot hands out *copies* via replica(): each engine executor keeps
-// its own replica and refreshes it when the snapshot version moves on.
+// GnnRegressor::predict is const (each call records on its own tape), so
+// every engine executor predicts straight from the one shared snapshot model.
 //
 // Telemetry: gauge serve.models, counter serve.model_reloads.
 #pragma once
@@ -42,8 +41,6 @@ struct ModelSnapshot {
   data::StructureKind structure_kind() const {
     return core::structure_kind_for(spec.variant);
   }
-  /// Fresh mutable copy for a worker (predict caches activations).
-  nn::GnnRegressor replica() const { return *model; }
 };
 
 class ModelRegistry {

@@ -11,8 +11,11 @@
 // it immediately.
 //
 // Request flow: a readable socket is drained into the connection's input
-// buffer and split into lines. Admin ops (ping/health/stats/shutdown) are
-// answered synchronously on the I/O thread. Predict lines become an ordered
+// buffer and split into lines. A line may be at most 1 MiB: a connection
+// whose unterminated input grows past that gets one error line and is
+// closed, so no peer can make the server hold more. Admin ops
+// (ping/health/stats/shutdown) are answered synchronously on the I/O
+// thread. Predict lines become an ordered
 // response slot on the connection plus InferenceEngine::submit_async() — the
 // I/O thread never blocks on inference. When the engine completes a request
 // (on a shard batcher thread), the completion callback fills its slot and
@@ -38,8 +41,8 @@
 // client's request_id, or a server-assigned "s-<n>" (predict ops defer to
 // the engine's "r-<n>").
 //
-// Telemetry: counters serve.connections and serve.wire_errors (malformed
-// request lines), gauge serve.open_connections (RAII-maintained per
+// Telemetry: counters serve.connections and serve.wire_errors (malformed or
+// over-long request lines), gauge serve.open_connections (RAII-maintained per
 // connection object, so it counts live sockets even on error unwinds).
 #pragma once
 
@@ -129,6 +132,9 @@ class Server {
   void read_conn(const std::shared_ptr<Conn>& conn);
   void process_line(const std::shared_ptr<Conn>& conn, const std::string& line);
   std::string handle_admin(const WireRequest& req, bool* close_connection);
+  /// Queue an already-complete answer and flush; `close_after` stops
+  /// reading and closes the connection once it is sent.
+  void reply_now(Conn& conn, std::string text, bool close_after = false);
   /// Append the ready prefix of the slot queue to the output buffer and send
   /// as much as the socket accepts. Caller holds conn.mu.
   void flush_locked(Conn& conn);

@@ -85,7 +85,6 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
           support::ThreadPool::effective_jobs(options_.jobs));
       shard->pool = shard->owned_pool.get();
     }
-    shard->replicas.resize(shard->pool->worker_count() + 1);
     shard->depth_gauge =
         &metrics.gauge("serve.shard" + std::to_string(k) + ".queue_depth");
     shards_.push_back(std::move(shard));
@@ -227,8 +226,7 @@ std::vector<PredictResult> InferenceEngine::predict_batch(
   return results;
 }
 
-PredictResult InferenceEngine::process(Shard& shard, Pending& pending,
-                                       std::size_t executor) {
+PredictResult InferenceEngine::process(Pending& pending) {
   auto& metrics = telemetry::MetricsRegistry::global();
   const PredictRequest& request = pending.request;
   telemetry::TraceSpan span("serve/request");
@@ -236,16 +234,14 @@ PredictResult InferenceEngine::process(Shard& shard, Pending& pending,
   const auto started = Clock::now();
   const double queue_wait =
       std::chrono::duration<double>(started - pending.enqueued).count();
-  metrics.histogram("serve.queue_wait_seconds").observe(queue_wait);
   pending.request.timeline.mark(telemetry::Stage::BatchAdmit);
   // Expose the timeline to the forward pass (SpMM / GraphConv / readout mark
   // inner stages through the thread-local) for the rest of this request.
   telemetry::ScopedTimeline scoped(&pending.request.timeline);
-  PredictResult out = process_inner(shard, pending, executor, started);
+  PredictResult out = process_inner(pending, started);
   out.request_id = request.request_id;
   const double compute =
       std::chrono::duration<double>(Clock::now() - started).count();
-  metrics.histogram("serve.compute_seconds").observe(compute);
   if (slow_request_ms_ >= 0 &&
       (queue_wait + compute) * 1e3 > static_cast<double>(slow_request_ms_)) {
     metrics.counter("serve.slow_requests").add(1);
@@ -266,8 +262,7 @@ PredictResult InferenceEngine::process(Shard& shard, Pending& pending,
   return out;
 }
 
-PredictResult InferenceEngine::process_inner(Shard& shard, Pending& pending,
-                                             std::size_t executor,
+PredictResult InferenceEngine::process_inner(Pending& pending,
                                              Clock::time_point started) {
   auto& metrics = telemetry::MetricsRegistry::global();
   PredictResult out;
@@ -315,13 +310,7 @@ PredictResult InferenceEngine::process_inner(Shard& shard, Pending& pending,
         FeatureCache::features_for(*features, request.selection);
     pending.request.timeline.mark(telemetry::Stage::FeatureBuild);
 
-    IC_ASSERT(executor < shard.replicas.size());
-    Replica& replica = shard.replicas[executor][request.model];
-    if (replica.model == nullptr || replica.version != snapshot->version) {
-      replica.model = std::make_unique<nn::GnnRegressor>(snapshot->replica());
-      replica.version = snapshot->version;
-    }
-    out.log_runtime = replica.model->predict(*features->structure, x);
+    out.log_runtime = snapshot->model->predict(*features->structure, x);
     // Targets are log(1 + microseconds); mirror RuntimeEstimator exactly.
     out.seconds = std::expm1(out.log_runtime) / 1e6;
     out.model_version = snapshot->version;
@@ -393,13 +382,12 @@ void InferenceEngine::batcher_loop(std::size_t shard_index) {
     {
       telemetry::TraceSpan span("serve/batch");
       std::vector<PredictResult> results(batch.size());
-      // Indexed result slots + per-executor replicas: the PR 2 determinism
-      // contract. Each slot is written by exactly one task; fulfillment below
-      // happens on this thread in index order.
-      shard.pool->parallel_for(
-          0, batch.size(), [&](std::size_t i, std::size_t executor) {
-            results[i] = process(shard, *batch[i], executor);
-          });
+      // Indexed result slots over the one shared const model: the
+      // determinism contract (DESIGN.md §8). Each slot is written by exactly
+      // one task; fulfillment below happens on this thread in index order.
+      shard.pool->parallel_for(0, batch.size(), [&](std::size_t i, std::size_t) {
+        results[i] = process(*batch[i]);
+      });
       metrics.counter("serve.batches").add(1);
       batch_size_hist_->observe(static_cast<double>(batch.size()));
       const auto done = Clock::now();

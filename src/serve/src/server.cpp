@@ -52,6 +52,22 @@ struct ResponseSlot {
   std::string text;  ///< one JSON object, no trailing newline
 };
 
+/// Longest request line a connection may send, newline excluded. A predict
+/// naming every gate of a 100k-gate circuit is about 0.7 MB; past this the
+/// peer is not sending requests, and buffering on would let it make the
+/// server hold as much memory as it sends.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// The answer to a line the server cannot act on; counts serve.wire_errors.
+std::string wire_error(const std::string& message) {
+  telemetry::MetricsRegistry::global().counter("serve.wire_errors").add(1);
+  JsonValue resp = JsonValue::object();
+  resp.set("ok", JsonValue::boolean(false));
+  resp.set("status", JsonValue::string("error"));
+  resp.set("error", JsonValue::string(message));
+  return resp.dump();
+}
+
 }  // namespace
 
 // Per-connection state. `fd` is opened by the accept path and closed only by
@@ -351,6 +367,9 @@ void Server::read_conn(const std::shared_ptr<Conn>& conn) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn->inbuf.append(chunk, static_cast<std::size_t>(n));
+      // Split lines before reading past the cap; poll() is level-triggered,
+      // so what stays in the socket is read on the next pass.
+      if (conn->inbuf.size() > kMaxLineBytes) break;
       continue;
     }
     if (n == 0) {
@@ -377,9 +396,20 @@ void Server::read_conn(const std::shared_ptr<Conn>& conn) {
       std::lock_guard<std::mutex> lock(conn->mu);
       stop_reading = conn->closing;
     }
-    if (stop_reading) break;  // {"op":"shutdown"}: discard the rest
+    if (stop_reading) {  // {"op":"shutdown"}: discard the rest
+      start = conn->inbuf.size();
+      break;
+    }
   }
   conn->inbuf.erase(0, start);
+  if (conn->inbuf.size() > kMaxLineBytes) {
+    std::string().swap(conn->inbuf);
+    reply_now(*conn,
+              wire_error("request line exceeds " +
+                         std::to_string(kMaxLineBytes) + " bytes"),
+              /*close_after=*/true);
+    return;
+  }
   if (saw_eof) {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->eof = true;
@@ -389,7 +419,6 @@ void Server::read_conn(const std::shared_ptr<Conn>& conn) {
 
 void Server::process_line(const std::shared_ptr<Conn>& conn,
                           const std::string& line) {
-  auto& metrics = telemetry::MetricsRegistry::global();
   // Stage 0 of the request timeline: the request line is fully off the
   // socket. Parse is marked once the wire JSON decoded; the engine and the
   // forward pass fill in the rest.
@@ -400,17 +429,7 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
     req = parse_request(line);
     timeline.mark(telemetry::Stage::Parse);
   } catch (const std::exception& e) {
-    metrics.counter("serve.wire_errors").add(1);
-    JsonValue resp = JsonValue::object();
-    resp.set("ok", JsonValue::boolean(false));
-    resp.set("status", JsonValue::string("error"));
-    resp.set("error", JsonValue::string(e.what()));
-    auto slot = std::make_shared<ResponseSlot>();
-    slot->ready = true;
-    slot->text = resp.dump();
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->slots.push_back(std::move(slot));
-    flush_locked(*conn);
+    reply_now(*conn, wire_error(e.what()));
     return;
   }
   if (req.op == "predict") {
@@ -495,23 +514,22 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
     resp.set("status", JsonValue::string("error"));
     resp.set("error",
              JsonValue::string("search is not enabled on this server"));
-    auto slot = std::make_shared<ResponseSlot>();
-    slot->ready = true;
-    slot->text = resp.dump();
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->slots.push_back(std::move(slot));
-    flush_locked(*conn);
+    reply_now(*conn, resp.dump());
     return;
   }
   bool close_connection = false;
   std::string text = handle_admin(req, &close_connection);
+  reply_now(*conn, std::move(text), close_connection);
+}
+
+void Server::reply_now(Conn& conn, std::string text, bool close_after) {
   auto slot = std::make_shared<ResponseSlot>();
   slot->ready = true;
   slot->text = std::move(text);
-  std::lock_guard<std::mutex> lock(conn->mu);
-  conn->slots.push_back(std::move(slot));
-  if (close_connection) conn->closing = true;
-  flush_locked(*conn);
+  std::lock_guard<std::mutex> lock(conn.mu);
+  conn.slots.push_back(std::move(slot));
+  if (close_after) conn.closing = true;
+  flush_locked(conn);
 }
 
 void Server::flush_locked(Conn& conn) {
@@ -747,11 +765,7 @@ std::string Server::handle_admin(const WireRequest& req,
     }
     resp.set("request_id", JsonValue::string(request_id));
   } catch (const std::exception& e) {
-    telemetry::MetricsRegistry::global().counter("serve.wire_errors").add(1);
-    resp = JsonValue::object();
-    resp.set("ok", JsonValue::boolean(false));
-    resp.set("status", JsonValue::string("error"));
-    resp.set("error", JsonValue::string(e.what()));
+    return wire_error(e.what());
   }
   return resp.dump();
 }

@@ -15,8 +15,9 @@
 // Arming paths (all funnel into Profiler::global()):
 //   * `icnet_cli --profile-out file.folded` on any subcommand,
 //   * `{"op":"profile","action":"start|stop|dump"}` on a live server,
-//   * `ICNET_PROFILE=file.folded` in the environment (see
-//      profile_from_env()).
+//   * `ICNET_PROFILE_OUT=file.folded` in the environment (see
+//      profile_from_env()).  ICNET_PROFILE is the experiment profile
+//      (ci|paper), not this.
 #pragma once
 
 #include <atomic>
@@ -101,7 +102,7 @@ class Profiler {
   ProfilerOptions options_;
 };
 
-/// Honour `ICNET_PROFILE=path[,hz][,seconds]`: start the global profiler
+/// Honour `ICNET_PROFILE_OUT=path[,hz][,seconds]`: start the global profiler
 /// now; at process exit (or explicit profile_flush()) the capture is folded
 /// into `path`. Returns true if the env var armed a session.
 bool profile_from_env();

@@ -9,8 +9,9 @@
 //   IC_LOG_LEVEL       trace|debug|info|warn|error|off   (default: warn;
 //                      unrecognized values warn once and fall back)
 //   ICNET_METRICS_OUT  path; benches snapshot the registry there on exit
-//   ICNET_PROFILE      path[,hz][,seconds]; arms the sampling profiler at
-//                      startup, folded stacks written at exit
+//   ICNET_PROFILE_OUT  path[,hz][,seconds]; arms the sampling profiler at
+//                      startup, folded stacks written at exit (the
+//                      environment twin of --profile-out)
 #pragma once
 
 #include <chrono>

@@ -75,7 +75,7 @@ class ThreadPool {
   /// executor: the calling thread runs chunk 0 itself (so progress is
   /// guaranteed even when every worker is busy) and the workers take the
   /// rest. `executor` is a dense id in [0, worker_count()] — 0 is the caller
-  /// — usable to index per-executor scratch state (e.g. model clones).
+  /// — usable to index per-executor scratch state.
   /// The first exception thrown by any chunk is rethrown here.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t index,

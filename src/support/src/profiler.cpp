@@ -307,7 +307,7 @@ void set_profile_output(const std::string& path) {
 }
 
 bool profile_from_env() {
-  const char* spec = std::getenv("ICNET_PROFILE");
+  const char* spec = std::getenv("ICNET_PROFILE_OUT");
   if (spec == nullptr || spec[0] == '\0') return false;
   // "path[,hz][,seconds]" — both numeric suffixes optional.
   std::string text(spec);

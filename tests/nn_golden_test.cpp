@@ -13,7 +13,9 @@
 //  3. InferenceEngine answers, at jobs=4, from a model trained and saved
 //     here.
 //
-// A deliberate numerics change (SIMD, FMA, reordered sums) is a versioned
+// The values are those of an x86-64 build, whose compilers do not contract
+// a*b+c into FMA by default; a target that does will diverge here. A
+// deliberate numerics change (SIMD, FMA, reordered sums) is a versioned
 // event (DESIGN.md §11); regenerate only then, with:
 //
 //     IC_REGEN_GOLDEN=tests/golden/nn_outputs.txt ./nn_golden_test

@@ -45,11 +45,11 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
   const double target = 1.3;
 
   // Analytic gradient of L = (f(x) − t)².
-  model.zero_grad();
-  const double out = model.forward(*s, x);
-  model.backward(2.0 * (out - target));
+  Tape tape;
+  const double out = model.forward(*s, x, tape);
+  auto grads = model.zero_gradients();
+  model.backward(*s, tape, 2.0 * (out - target), grads);
   const auto params = model.parameters();
-  const auto grads = model.gradients();
 
   const double eps = 1e-6;
   double worst_rel = 0.0;
@@ -66,7 +66,7 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
         const double loss_up = (up - target) * (up - target);
         const double loss_down = (down - target) * (down - target);
         const double numeric = (loss_up - loss_down) / (2.0 * eps);
-        const double analytic = (*grads[pi])(r, c);
+        const double analytic = grads[pi](r, c);
         const double scale = std::max({1e-6, std::fabs(numeric), std::fabs(analytic)});
         const double rel = std::fabs(numeric - analytic) / scale;
         worst_rel = std::max(worst_rel, rel);
@@ -78,7 +78,7 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
   }
   // Sanity: at least something had a non-trivial gradient.
   double grad_norm = 0.0;
-  for (const auto* g : grads) grad_norm += g->frobenius_norm();
+  for (const auto& g : grads) grad_norm += g.frobenius_norm();
   EXPECT_GT(grad_norm, 1e-8) << gc.label;
   (void)worst_rel;
 }
@@ -121,7 +121,8 @@ TEST(GraphConvUnit, PropagateForwardMatchesHandComputation) {
   const SparseMatrix s = SparseMatrix::from_triplets(2, 2, {0, 1}, {1, 0},
                                                      {1.0, 1.0});
   const Matrix x{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix out = conv.forward(s, x);
+  std::vector<Matrix> basis;
+  const Matrix out = conv.forward(s, x, basis);
   // S swaps rows; + bias.
   EXPECT_DOUBLE_EQ(out(0, 0), 3.5);
   EXPECT_DOUBLE_EQ(out(0, 1), 3.5);
@@ -129,33 +130,45 @@ TEST(GraphConvUnit, PropagateForwardMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(out(1, 1), 1.5);
 }
 
-TEST(GraphConvUnit, ZeroGradClearsAccumulation) {
+TEST(GraphConvUnit, BackwardAddsIntoCallerGradients) {
   Rng rng(2);
-  GraphConv conv(ConvMode::Propagate, 1, 3, 2, rng);
+  GraphConv conv(ConvMode::Chebyshev, 3, 3, 2, rng);
   const SparseMatrix s = SparseMatrix::identity(4);
   const Matrix x = Matrix::random_normal(4, 3, 1.0, rng);
-  conv.forward(s, x);
-  conv.backward(Matrix::random_normal(4, 2, 1.0, rng));
+  const Matrix d_out = Matrix::random_normal(4, 2, 1.0, rng);
+  std::vector<Matrix> basis;
+  conv.forward(s, x, basis);
+  ASSERT_EQ(basis.size(), 3u);
+  std::vector<Matrix> once, twice;
+  for (const Matrix* p : conv.parameters()) {
+    once.emplace_back(p->rows(), p->cols());
+    twice.emplace_back(p->rows(), p->cols());
+  }
+  conv.backward(s, basis, d_out, once);
+  conv.backward(s, basis, d_out, twice);
+  conv.backward(s, basis, d_out, twice);
   double norm = 0.0;
-  for (auto* g : conv.gradients()) norm += g->frobenius_norm();
+  for (std::size_t k = 0; k < once.size(); ++k) {
+    norm += once[k].frobenius_norm();
+    EXPECT_EQ(Matrix::max_abs_diff(once[k] * 2.0, twice[k]), 0.0) << k;
+  }
   EXPECT_GT(norm, 0.0);
-  conv.zero_grad();
-  norm = 0.0;
-  for (auto* g : conv.gradients()) norm += g->frobenius_norm();
-  EXPECT_DOUBLE_EQ(norm, 0.0);
 }
 
 TEST(ReluUnit, MasksNegativeAndPassesPositive) {
-  Relu relu;
   const Matrix x{{-1.0, 2.0}, {0.0, -3.0}};
-  const Matrix y = relu.forward(x);
+  const Matrix y = relu(x);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(y(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(1, 1), 0.0);
-  const Matrix dy{{5.0, 5.0}, {5.0, 5.0}};
-  const Matrix dx = relu.backward(dy);
+  // The backward mask comes from the output: x = 0 passes no gradient.
+  Matrix dx{{5.0, 5.0}, {5.0, 5.0}};
+  relu_backward(y, dx);
   EXPECT_DOUBLE_EQ(dx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(dx(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(dx(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(dx(1, 1), 0.0);
 }
 
 TEST(Regressor, AttentionWeightsAreADistribution) {
@@ -168,9 +181,10 @@ TEST(Regressor, AttentionWeightsAreADistribution) {
   GnnRegressor model(cfg);
   Rng rng(3);
   const Matrix x = Matrix::random_uniform(circuit.size(), 3, 1.0, rng);
-  model.predict(*s, x);
-  const auto& fa = model.last_feature_attention();
-  const auto& ga = model.last_gate_attention();
+  Tape tape;
+  model.forward(*s, x, tape);
+  const auto& fa = tape.feat_attention;
+  const auto& ga = tape.gate_attention;
   ASSERT_EQ(fa.size(), 4u);
   ASSERT_EQ(ga.size(), circuit.size());
   double sum = 0.0;

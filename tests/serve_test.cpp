@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <thread>
@@ -330,8 +332,8 @@ TEST_F(ServeTest, EngineStopAnswersQueuedWorkThenRejects) {
 }
 
 TEST_F(ServeTest, EngineMatchesEstimatorBitForBit) {
-  // The serving fast path (cached featurization + per-executor replicas)
-  // must agree exactly with the offline RuntimeEstimator.
+  // The serving fast path (cached featurization, one shared const model
+  // across executors) must agree exactly with the offline RuntimeEstimator.
   auto estimator = core::RuntimeEstimator::from_file(model_path_);
   estimator.set_circuit(*circuit_);
 
@@ -708,6 +710,67 @@ TEST_F(ServeTest, MalformedLinesCountWireErrors) {
   EXPECT_FALSE(response.ok);
   EXPECT_EQ(response.status, "error");
   EXPECT_GT(wire_errors.value(), before);
+
+  server.shutdown();
+  engine.stop();
+}
+
+TEST_F(ServeTest, OverlongUnterminatedLineIsAnsweredAndClosed) {
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry, {});
+  engine.register_circuit("default", circuit_);
+  Server server(engine, registry, {});
+  server.start();
+
+  auto& wire_errors =
+      telemetry::MetricsRegistry::global().counter("serve.wire_errors");
+  const auto before = wire_errors.value();
+
+  // A peer that streams 2 MiB and never sends a newline.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};  // a server that never answers fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string junk(64 * 1024, 'x');
+  for (std::size_t sent = 0; sent < 2 * 1024 * 1024;) {
+    const ssize_t n = ::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server hung up mid-stream
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string received;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  const int recv_errno = errno;
+  ::close(fd);
+
+  EXPECT_TRUE(n == 0 || recv_errno == ECONNRESET)
+      << "server did not close the connection: " << std::strerror(recv_errno);
+  ASSERT_FALSE(received.empty());
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << "exactly one line";
+  const WireResponse response = parse_response(received);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.status, "error");
+  EXPECT_NE(response.error.find("exceeds 1048576 bytes"), std::string::npos)
+      << response.error;
+  EXPECT_EQ(wire_errors.value(), before + 1);
+
+  // Every other client is still served.
+  Client client("127.0.0.1", server.port());
+  EXPECT_TRUE(client.ping().ok);
+  WireRequest request;
+  request.select = {2, 4};
+  EXPECT_TRUE(client.call(request).ok);
 
   server.shutdown();
   engine.stop();

@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -183,6 +186,32 @@ TEST(Profiler, RestartBeginsAFreshCapture) {
   ASSERT_TRUE(profiler.stop());
   EXPECT_LT(profiler.sample_count(), first_session)
       << "start() must begin a fresh capture";
+}
+
+TEST(Profiler, OnlyProfileOutArmsTheSamplerFromTheEnvironment) {
+  // ICNET_PROFILE selects the experiment profile (ci|paper). Read as a
+  // capture path, ICNET_PROFILE=paper would arm the sampler and write a
+  // file named "paper".
+  Profiler& profiler = Profiler::global();
+  ASSERT_FALSE(profiler.running());
+  unsetenv("ICNET_PROFILE_OUT");
+  setenv("ICNET_PROFILE", "paper", 1);
+  EXPECT_FALSE(profile_from_env());
+  EXPECT_FALSE(profiler.running());
+  profile_flush();
+  EXPECT_FALSE(std::ifstream("paper").good());
+  unsetenv("ICNET_PROFILE");
+
+  const std::string path = ::testing::TempDir() + "profile_env.folded";
+  std::remove(path.c_str());
+  setenv("ICNET_PROFILE_OUT", (path + ",997").c_str(), 1);
+  EXPECT_TRUE(profile_from_env());
+  unsetenv("ICNET_PROFILE_OUT");
+  EXPECT_TRUE(profiler.running());
+  spin_until_samples(1, 10.0);
+  profile_flush();
+  EXPECT_FALSE(profiler.running());
+  EXPECT_TRUE(std::ifstream(path).good()) << "no folded capture at " << path;
 }
 
 // ---- Timeline --------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the substrates: word-parallel
-// simulation, Tseitin encoding + SAT solving, sparse propagation, and a
-// full ICNet forward pass. These are throughput numbers, not paper tables.
+// simulation, Tseitin encoding + SAT solving, sparse propagation, a full
+// ICNet forward pass and its delta form. These are throughput numbers, not
+// paper tables.
 #include <benchmark/benchmark.h>
 
 #include "ic/attack/encode.hpp"
@@ -9,6 +10,7 @@
 #include "ic/circuit/library.hpp"
 #include "ic/circuit/simulator.hpp"
 #include "ic/data/dataset.hpp"
+#include "ic/data/features.hpp"
 #include "ic/locking/lut_lock.hpp"
 #include "ic/locking/policy.hpp"
 #include "ic/core/estimator.hpp"
@@ -164,6 +166,46 @@ void BM_ICNetForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ICNetForward)->Arg(256)->Arg(1529)->Arg(4096);
+
+void BM_ICNetDeltaForward(benchmark::State& state) {
+  // BM_ICNetForward's model scoring 8-gate selections the way a served
+  // predict does: against base activations built once, recomputing only the
+  // rows each selection reaches in two hops.
+  const auto nl = bench_circuit(static_cast<std::size_t>(state.range(0)));
+  const auto s = ic::data::make_structure(nl, ic::data::StructureKind::Adjacency);
+  ic::nn::GnnConfig cfg;
+  cfg.in_features = 7;
+  cfg.hidden = {16, 8};
+  cfg.readout = ic::nn::Readout::Attention;
+  const ic::nn::GnnRegressor model(cfg);
+  const auto base =
+      model.base(*s, ic::data::gate_features(nl, {}, ic::data::FeatureSet::All));
+  ic::Rng rng(5);
+  std::vector<std::vector<ic::circuit::GateId>> selections(64);
+  std::vector<ic::graph::Matrix> rows;
+  for (auto& selection : selections) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      selection.push_back(static_cast<ic::circuit::GateId>(rng.index(nl.size())));
+    }
+    ic::graph::Matrix values(selection.size(), cfg.in_features);
+    for (std::size_t i = 0; i < selection.size(); ++i) {
+      for (std::size_t j = 0; j < cfg.in_features; ++j) {
+        values(i, j) = base.features(selection[i], j);
+      }
+      values(i, ic::data::kMaskColumn) = 1.0;
+    }
+    rows.push_back(std::move(values));
+  }
+  ic::nn::Workspace workspace;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::size_t k = next++ % selections.size();
+    benchmark::DoNotOptimize(
+        model.predict(*s, base, selections[k], rows[k], workspace));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ICNetDeltaForward)->Arg(1529)->Arg(4096);
 
 void BM_PolicySearchStep(benchmark::State& state) {
   // One greedy policy-search step (DESIGN.md §14): generate an 8-candidate

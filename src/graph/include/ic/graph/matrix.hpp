@@ -40,6 +40,15 @@ class Matrix {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
+  /// Reshape to rows×cols in place. Storage is kept (it only grows), so a
+  /// scratch matrix reused at varying sizes stops allocating; entries keep
+  /// whatever they held and are meant to be overwritten.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   double& operator()(std::size_t r, std::size_t c) {
     IC_ASSERT(r < rows_ && c < cols_);
     return data_[r * cols_ + c];

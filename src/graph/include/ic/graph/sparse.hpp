@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ic/graph/matrix.hpp"
@@ -30,6 +31,28 @@ class SparseMatrix {
 
   /// Dense product: this(rows×cols) * x(cols×f).
   Matrix spmm(const Matrix& x) const;
+
+  /// Row r of this·X into out[0, width): zeroed, then accumulated in CSR
+  /// order, reading row c of X at row_of(c). spmm() runs this for every
+  /// row, so a caller that computes only some rows gets the same bits.
+  template <typename RowOf>
+  void spmm_row(std::size_t r, const RowOf& row_of, std::size_t width,
+                double* out) const {
+    for (std::size_t j = 0; j < width; ++j) out[j] = 0.0;
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const double v = values_[k];
+      const double* xrow = row_of(col_idx_[k]);
+      for (std::size_t j = 0; j < width; ++j) out[j] += v * xrow[j];
+    }
+  }
+
+  /// Columns of the entries stored in row r, ascending.
+  std::span<const std::size_t> row_cols(std::size_t r) const {
+    return {col_idx_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
+  }
+
+  /// Sᵀ. Its row c lists the rows of S that store an entry in column c.
+  SparseMatrix transpose() const;
 
   /// Transposed product: thisᵀ * x, with x(rows×f). Needed for backprop
   /// through y = S·x when S is not symmetric.

@@ -113,7 +113,7 @@ Matrix Matrix::matmul(const Matrix& other) const {
       rows_ * cols_ * other.cols_ >= kParallelMatmulFlops && rows_ > 1) {
     const std::size_t executors = std::min(pool.worker_count() + 1, rows_);
     const std::size_t chunk = (rows_ + executors - 1) / executors;
-    pool.parallel_for(0, executors, [&](std::size_t e, std::size_t) {
+    pool.parallel_for(0, executors, [&](std::size_t e) {
       const std::size_t lo = e * chunk;
       row_range(lo, std::min(rows_, lo + chunk));
     });

@@ -55,19 +55,38 @@ SparseMatrix SparseMatrix::identity(std::size_t n) {
 
 Matrix SparseMatrix::spmm(const Matrix& x) const {
   IC_ASSERT_MSG(cols_ == x.rows(), "spmm shape mismatch");
-  Matrix out(rows_, x.cols());
+  const std::size_t width = x.cols();
+  Matrix out(rows_, width);
+  const auto row_of = [&](std::size_t c) { return x.data() + c * width; };
   for (std::size_t r = 0; r < rows_; ++r) {
-    double* orow = out.data() + r * x.cols();
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const double v = values_[k];
-      const double* xrow = x.data() + col_idx_[k] * x.cols();
-      for (std::size_t j = 0; j < x.cols(); ++j) orow[j] += v * xrow[j];
-    }
+    spmm_row(r, row_of, width, out.data() + r * width);
   }
   // Attribute this product to the serving request's timeline, if one is
   // active on this thread (no-op everywhere else: training, tools, tests).
   telemetry::mark_stage(telemetry::Stage::Spmm);
   return out;
+}
+
+SparseMatrix SparseMatrix::transpose() const {
+  // Counting sort by column: rows are visited in order, so each row of the
+  // result lists its columns ascending, as CSR requires.
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  for (const std::size_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.resize(nnz());
+  t.values_.resize(nnz());
+  std::vector<std::size_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::size_t at = next[col_idx_[k]]++;
+      t.col_idx_[at] = r;
+      t.values_[at] = values_[k];
+    }
+  }
+  return t;
 }
 
 Matrix SparseMatrix::spmm_transposed(const Matrix& x) const {

@@ -1,17 +1,21 @@
 // Graph convolution layer with a pluggable structure operator.
 //
 // Two modes:
-//   * Propagate  — H_out = S · H · W + b          (GCN and ICNet; S is the
+//   * Propagate  — H_out = ReLU(S · H · W + b)      (GCN and ICNet; S is the
 //     renormalized propagation matrix or, for ICNet, the raw adjacency)
-//   * Chebyshev  — H_out = Σ_k T_k(S) · H · W_k + b with the recurrence
+//   * Chebyshev  — H_out = ReLU(Σ_k T_k(S) · H · W_k + b) with the recurrence
 //     T_0 = I, T_1 = S, T_k = 2 S T_{k−1} − T_{k−2}   (ChebNet; S is the
 //     scaled normalized Laplacian)
-// The layer holds only its parameters. forward() leaves what backward()
-// needs in a caller-owned basis, and backward() adds into caller-owned
-// gradients, so one layer serves any number of concurrent passes.
+// The layer holds only its parameters. Its forward pass is a set of row
+// kernels (one row of S·H, then of Σ_k Z_k W_k + b and the ReLU), run either
+// over every row or over only the rows a change to the input can reach
+// (Reach). forward() leaves what backward() needs in a caller-owned basis,
+// and backward() adds into caller-owned gradients, so one layer serves any
+// number of concurrent passes.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -22,6 +26,55 @@ namespace ic::nn {
 
 enum class ConvMode { Propagate, Chebyshev };
 
+/// Slot of a row that a delta pass does not recompute.
+inline constexpr std::uint32_t kUnreached =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The rows one pass computes and where it keeps them. A full pass computes
+/// every row and keeps row r in slot r. A delta pass computes only the rows
+/// a change to the input can reach: slot i holds the i-th row reached, and
+/// the rows at most h products by S away from a changed row fill slots
+/// [0, within[h]).
+struct Reach {
+  std::size_t n = 0;                     ///< rows of the graph
+  const std::uint32_t* order = nullptr;  ///< row in each slot
+  const std::uint32_t* slot = nullptr;   ///< slot of each row, or kUnreached
+  const std::size_t* within = nullptr;   ///< null in a full pass
+
+  bool full() const { return within == nullptr; }
+  /// Rows computed for a matrix `hops` products away from the input.
+  std::size_t rows(std::size_t hops) const {
+    return full() ? n : within[hops];
+  }
+  std::size_t row(std::size_t i) const { return full() ? i : order[i]; }
+};
+
+/// One n×width matrix of a pass as its rows are read: the rows the pass
+/// computed from `own` (by slot), every other row from `base` (by row).
+class RowView {
+ public:
+  RowView(const Reach& reach, std::size_t hops, const double* own,
+          const double* base, std::size_t width)
+      : own_(own),
+        base_(base),
+        slot_(reach.full() ? nullptr : reach.slot),
+        owned_(reach.rows(hops)),
+        width_(width) {}
+
+  const double* operator()(std::size_t r) const {
+    if (slot_ == nullptr) return own_ + r * width_;
+    const std::size_t s = slot_[r];
+    return s < owned_ ? own_ + s * width_ : base_ + r * width_;
+  }
+
+ private:
+  const double* own_;
+  const double* base_;
+  const std::uint32_t* slot_;
+  std::size_t owned_;
+  std::size_t width_;
+};
+
 class GraphConv {
  public:
   /// `order` is the number of weight matrices: 1 for Propagate, the
@@ -29,15 +82,33 @@ class GraphConv {
   GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
             std::size_t out_features, Rng& rng);
 
-  /// Forward pass (before the activation). Fills `basis` with Z_k
-  /// (Chebyshev) or {S·H} (Propagate) for backward().
+  /// Full pass over every row. Fills `basis` with Z_k (Chebyshev) or
+  /// {S·H} (Propagate) for backward() and returns the post-ReLU output.
   graph::Matrix forward(const graph::SparseMatrix& structure,
                         const graph::Matrix& input,
                         std::vector<graph::Matrix>& basis) const;
 
-  /// Backward pass for the forward() that filled `basis`; returns
-  /// dL/d(input) and adds dL/dW_k, dL/db into `grads`, which is laid out
-  /// like parameters().
+  /// The row kernels over the rows `reach` selects, for an input that
+  /// differs from the base pass's only within `hops` hops of the change.
+  /// Resizes and fills terms[k] with Z_k and `out` with the post-ReLU
+  /// output, by slot. A delta pass reads the rows it does not compute from
+  /// `base_terms`, the base pass's basis. A full pass gives none, and so may
+  /// a Propagate delta pass, which reads S·H only at rows it computes.
+  void forward_rows(const graph::SparseMatrix& structure, const Reach& reach,
+                    std::size_t hops, const RowView& input,
+                    std::span<const graph::Matrix> base_terms,
+                    std::vector<graph::Matrix>& terms,
+                    graph::Matrix& out) const;
+
+  /// Products by S between the layer's input and its output: how many hops
+  /// further a change to the input reaches.
+  std::size_t hops() const {
+    return mode_ == ConvMode::Propagate ? 1 : order_ - 1;
+  }
+
+  /// Backward pass for the forward() that filled `basis`; `d_output` is
+  /// dL/d(pre-activation output). Returns dL/d(input) and adds dL/dW_k,
+  /// dL/db into `grads`, which is laid out like parameters().
   graph::Matrix backward(const graph::SparseMatrix& structure,
                          const std::vector<graph::Matrix>& basis,
                          const graph::Matrix& d_output,
@@ -52,6 +123,11 @@ class GraphConv {
   ConvMode mode() const { return mode_; }
 
  private:
+  /// Products by S between the input and basis term k.
+  std::size_t term_hops(std::size_t k) const {
+    return mode_ == ConvMode::Propagate ? 1 : k;
+  }
+
   ConvMode mode_;
   std::size_t order_;
   std::size_t in_features_;
@@ -61,8 +137,8 @@ class GraphConv {
   graph::Matrix bias_;                  // 1×out, broadcast over gates
 };
 
-/// Elementwise max(x, 0).
-graph::Matrix relu(graph::Matrix input);
+/// max(x, 0), the activation every layer applies.
+inline double relu(double x) { return x > 0.0 ? x : 0.0; }
 
 /// ReLU backward from the recorded output: d_output ⊙ [y > 0], in place.
 /// y > 0 exactly when x > 0, so no separate mask is kept.

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ic/nn/graph_conv.hpp"
@@ -55,6 +56,32 @@ struct Tape {
   double z = 0.0;                      ///< head pre-activation
 };
 
+/// The layers of one full pass on a circuit's base features (every mask
+/// bit clear), kept so that a delta predict recomputes only the rows a
+/// change can reach. Immutable once built; any number of concurrent
+/// predicts may share it.
+struct BaseActivations {
+  graph::Matrix features;       ///< the base X
+  graph::SparseMatrix readers;  ///< Sᵀ: row c lists the rows that read row c
+  /// Each layer's basis and output on X. A Propagate layer keeps no basis:
+  /// a delta pass reads S·H only at rows it recomputes itself.
+  std::vector<Tape::Layer> layers;
+};
+
+/// A delta predict's scratch, reused from call to call. It grows to the
+/// largest circuit and reach it has seen and then stops allocating; give
+/// each thread its own.
+class Workspace {
+ private:
+  friend class GnnRegressor;
+  std::vector<std::uint32_t> slot;   ///< per row; kUnreached off the reach
+  std::vector<std::uint32_t> order;  ///< reached rows, by slot
+  std::vector<std::size_t> within;   ///< Reach::within
+  graph::Matrix x;                   ///< changed feature rows, by slot
+  std::vector<Tape::Layer> layers;   ///< recomputed rows, by slot
+  Tape readout;                      ///< readout record (no layers)
+};
+
 /// Holds only its config and parameters; forward, predict and backward are
 /// const.
 class GnnRegressor {
@@ -69,6 +96,21 @@ class GnnRegressor {
   /// forward() on a local tape.
   double predict(const graph::SparseMatrix& structure,
                  const graph::Matrix& features) const;
+
+  /// Base activations of `features` on `structure`: one full pass.
+  BaseActivations base(const graph::SparseMatrix& structure,
+                       graph::Matrix features) const;
+
+  /// predict() for the features that equal base.features except in rows
+  /// `rows[i]`, which hold values.row(i) (a repeated row takes its last
+  /// value). Recomputes only the rows within reach of a changed row, reads
+  /// every other row from `base`, then runs the readout over all rows, so
+  /// the answer is bit-identical to predict(structure, features). `base`
+  /// must come from base() on the same structure.
+  double predict(const graph::SparseMatrix& structure,
+                 const BaseActivations& base,
+                 std::span<const std::uint32_t> rows,
+                 const graph::Matrix& values, Workspace& workspace) const;
 
   /// Backpropagate dL/d(prediction) through the pass `tape` recorded on
   /// `structure`, adding the parameter gradients into `grads` (laid out
@@ -91,6 +133,13 @@ class GnnRegressor {
   const GnnConfig& config() const { return config_; }
 
  private:
+  /// Every conv layer over every row of `x`.
+  void forward_layers(const graph::SparseMatrix& structure,
+                      const graph::Matrix& x,
+                      std::vector<Tape::Layer>& layers) const;
+  /// The readout and head over all n rows of the last layer, in index order.
+  double readout(const RowView& h, std::size_t n, Tape& tape) const;
+
   GnnConfig config_;
   std::vector<GraphConv> convs_;
 

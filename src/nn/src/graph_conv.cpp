@@ -33,33 +33,83 @@ GraphConv::GraphConv(ConvMode mode, std::size_t order, std::size_t in_features,
 Matrix GraphConv::forward(const SparseMatrix& s, const Matrix& input,
                           std::vector<Matrix>& basis) const {
   IC_ASSERT(input.cols() == in_features_);
-  IC_ASSERT(s.rows() == input.rows() && s.cols() == input.rows());
-  basis.clear();
+  const Reach all{input.rows()};
+  Matrix out;
+  forward_rows(s, all, 0, RowView(all, 0, input.data(), nullptr, input.cols()),
+               {}, basis, out);
+  return out;
+}
 
-  if (mode_ == ConvMode::Propagate) {
-    basis.push_back(s.spmm(input));  // Z = S H
-  } else {
-    basis.push_back(input);  // T_0 H = H
-    if (order_ >= 2) basis.push_back(s.spmm(input));
-    for (std::size_t k = 2; k < order_; ++k) {
-      Matrix z = s.spmm(basis[k - 1]);
-      z *= 2.0;
-      z -= basis[k - 2];
-      basis.push_back(std::move(z));
+void GraphConv::forward_rows(const SparseMatrix& s, const Reach& reach,
+                             std::size_t hops, const RowView& input,
+                             std::span<const Matrix> base_terms,
+                             std::vector<Matrix>& terms, Matrix& out) const {
+  IC_ASSERT(s.rows() == reach.n && s.cols() == reach.n);
+  IC_ASSERT(base_terms.empty() || base_terms.size() == order_);
+  const std::size_t in = in_features_;
+  terms.resize(order_);
+  const auto term = [&](std::size_t k) {
+    return RowView(reach, hops + term_hops(k), terms[k].data(),
+                   base_terms.empty() ? nullptr : base_terms[k].data(), in);
+  };
+
+  // Sparse half: Z = S·H (Propagate), or Z_0 = H, Z_1 = S·H and
+  // Z_k = 2·S·Z_{k−1} − Z_{k−2} (Chebyshev), one row at a time.
+  for (std::size_t k = 0; k < order_; ++k) {
+    const std::size_t count = reach.rows(hops + term_hops(k));
+    terms[k].resize(count, in);
+    const bool copy = mode_ == ConvMode::Chebyshev && k == 0;
+    const RowView source = k < 2 ? input : term(k - 1);
+    const RowView back = term(k < 2 ? 0 : k - 2);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t r = reach.row(i);
+      double* z = terms[k].data() + i * in;
+      if (copy) {
+        const double* h = input(r);
+        for (std::size_t j = 0; j < in; ++j) z[j] = h[j];
+        continue;
+      }
+      s.spmm_row(r, source, in, z);
+      if (k >= 2) {
+        const double* prev = back(r);
+        for (std::size_t j = 0; j < in; ++j) z[j] *= 2.0;
+        for (std::size_t j = 0; j < in; ++j) z[j] -= prev[j];
+      }
     }
   }
+  // Attribute the products to the serving request's timeline, if one is
+  // active on this thread (no-op everywhere else: training, tools, tests).
+  telemetry::mark_stage(telemetry::Stage::Spmm);
 
-  Matrix out = basis[0].matmul(weights_[0]);
-  for (std::size_t k = 1; k < basis.size(); ++k) {
-    out += basis[k].matmul(weights_[k]);
+  // Dense half: ReLU(Σ_k Z_k·W_k + b), one row at a time. Each term's
+  // product is summed on its own from zero, skipping zero entries of Z_k,
+  // then added to the running total: the order Matrix::matmul and += use.
+  const std::size_t width = out_features_;
+  const std::size_t count = reach.rows(hops + this->hops());
+  out.resize(count, width);
+  std::vector<double> partial(order_ > 1 ? width : 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = reach.row(i);
+    double* o = out.data() + i * width;
+    for (std::size_t k = 0; k < order_; ++k) {
+      double* acc = k == 0 ? o : partial.data();
+      for (std::size_t j = 0; j < width; ++j) acc[j] = 0.0;
+      const double* z = term(k)(r);
+      const double* w = weights_[k].data();
+      for (std::size_t c = 0; c < in; ++c) {
+        const double zc = z[c];
+        if (zc == 0.0) continue;
+        const double* wrow = w + c * width;
+        for (std::size_t j = 0; j < width; ++j) acc[j] += zc * wrow[j];
+      }
+      if (k > 0) {
+        for (std::size_t j = 0; j < width; ++j) o[j] += acc[j];
+      }
+    }
+    const double* b = bias_.data();
+    for (std::size_t j = 0; j < width; ++j) o[j] = relu(o[j] + b[j]);
   }
-  for (std::size_t g = 0; g < out.rows(); ++g) {
-    for (std::size_t j = 0; j < out.cols(); ++j) out(g, j) += bias_(0, j);
-  }
-  // Chebyshev combination + bias are the dense half of this layer; the SpMM
-  // half already marked Stage::Spmm inside SparseMatrix::spmm.
   telemetry::mark_stage(telemetry::Stage::Dense);
-  return out;
 }
 
 Matrix GraphConv::backward(const SparseMatrix& s,
@@ -102,13 +152,6 @@ std::vector<Matrix*> GraphConv::parameters() {
   for (auto& w : weights_) out.push_back(&w);
   out.push_back(&bias_);
   return out;
-}
-
-Matrix relu(Matrix m) {
-  for (double* v = m.data(); v != m.data() + m.size(); ++v) {
-    *v = *v > 0.0 ? *v : 0.0;
-  }
-  return m;
 }
 
 void relu_backward(const Matrix& output, Matrix& d_output) {

@@ -1,5 +1,6 @@
 #include "ic/nn/regressor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ic/support/timeline.hpp"
@@ -73,32 +74,129 @@ void GnnRegressor::warm_start_head(double target_mean) {
   }
 }
 
-double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
-                             Tape& tape) const {
+void GnnRegressor::forward_layers(const SparseMatrix& s, const Matrix& x,
+                                  std::vector<Tape::Layer>& layers) const {
   IC_ASSERT(x.cols() == config_.in_features);
-  tape.layers.resize(convs_.size());
+  layers.resize(convs_.size());
   const Matrix* input = &x;
   for (std::size_t i = 0; i < convs_.size(); ++i) {
-    Tape::Layer& layer = tape.layers[i];
-    layer.out = relu(convs_[i].forward(s, *input, layer.basis));
-    telemetry::mark_stage(telemetry::Stage::Dense);  // charge the ReLU here
-    input = &layer.out;
+    layers[i].out = convs_[i].forward(s, *input, layers[i].basis);
+    input = &layers[i].out;
   }
-  const Matrix& h = *input;
-  const std::size_t d = h.cols();
-  const std::size_t n = h.rows();
+}
 
-  tape.readout.clear();
+double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
+                             Tape& tape) const {
+  forward_layers(s, x, tape.layers);
+  const Matrix& h = tape.layers.back().out;
+  const Reach all{x.rows()};
+  return readout(RowView(all, 0, h.data(), nullptr, h.cols()), x.rows(),
+                 tape);
+}
+
+double GnnRegressor::predict(const SparseMatrix& s, const Matrix& x) const {
+  Tape tape;
+  return forward(s, x, tape);
+}
+
+BaseActivations GnnRegressor::base(const SparseMatrix& s, Matrix x) const {
+  BaseActivations out;
+  forward_layers(s, x, out.layers);
+  for (std::size_t i = 0; i < convs_.size(); ++i) {
+    if (convs_[i].mode() == ConvMode::Propagate) out.layers[i].basis.clear();
+  }
+  out.readers = s.transpose();
+  out.features = std::move(x);
+  return out;
+}
+
+double GnnRegressor::predict(const SparseMatrix& s, const BaseActivations& base,
+                             std::span<const std::uint32_t> rows,
+                             const Matrix& values, Workspace& ws) const {
+  const std::size_t n = base.features.rows();
+  const std::size_t f = base.features.cols();
+  IC_ASSERT(f == config_.in_features && s.rows() == n);
+  IC_ASSERT(values.rows() == rows.size() && values.cols() == f);
+  IC_ASSERT(base.layers.size() == convs_.size());
+
+  // Reach: the changed rows, then breadth-first the rows that read them,
+  // one hop per product by S. Rows are found through Sᵀ (base.readers), so
+  // S need not be symmetric. Slots of the previous call, which may have
+  // thrown or been on another circuit, are cleared first.
+  for (const std::uint32_t r : ws.order) ws.slot[r] = kUnreached;
+  ws.order.clear();
+  if (ws.slot.size() < n) ws.slot.resize(n, kUnreached);
+  ws.x.resize(rows.size(), f);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint32_t r = rows[i];
+    IC_ASSERT(r < n);
+    if (ws.slot[r] == kUnreached) {
+      ws.slot[r] = static_cast<std::uint32_t>(ws.order.size());
+      ws.order.push_back(r);
+    }
+    const double* v = values.data() + i * f;
+    std::copy(v, v + f, ws.x.data() + ws.slot[r] * f);
+  }
+  std::size_t hops = 0;
+  for (const GraphConv& conv : convs_) hops += conv.hops();
+  ws.within.assign(1, ws.order.size());
+  for (std::size_t h = 1; h <= hops; ++h) {
+    const std::size_t begin = h >= 2 ? ws.within[h - 2] : 0;
+    for (std::size_t i = begin; i < ws.within[h - 1]; ++i) {
+      for (const std::size_t r : base.readers.row_cols(ws.order[i])) {
+        if (ws.slot[r] != kUnreached) continue;
+        ws.slot[r] = static_cast<std::uint32_t>(ws.order.size());
+        ws.order.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    ws.within.push_back(ws.order.size());
+  }
+  const Reach reach{n, ws.order.data(), ws.slot.data(), ws.within.data()};
+
+  // Each layer recomputes the rows its output can differ in and reads the
+  // rest from the base pass.
+  ws.layers.resize(convs_.size());
+  RowView input(reach, 0, ws.x.data(), base.features.data(), f);
+  hops = 0;
+  for (std::size_t i = 0; i < convs_.size(); ++i) {
+    const Tape::Layer& from = base.layers[i];
+    Tape::Layer& layer = ws.layers[i];
+    convs_[i].forward_rows(s, reach, hops, input, from.basis, layer.basis,
+                           layer.out);
+    hops += convs_[i].hops();
+    input = RowView(reach, hops, layer.out.data(), from.out.data(),
+                    convs_[i].out_features());
+  }
+  return readout(input, n, ws.readout);
+}
+
+double GnnRegressor::readout(const RowView& h, std::size_t n,
+                             Tape& tape) const {
+  const std::size_t d = config_.hidden.back();
+  // Column sums in row order, as Matrix::col_sums adds them.
+  const auto col_sums = [&](std::vector<double>& out) {
+    out.assign(d, 0.0);
+    for (std::size_t g = 0; g < n; ++g) {
+      const double* row = h(g);
+      for (std::size_t j = 0; j < d; ++j) out[j] += row[j];
+    }
+  };
+  const auto col_means = [&](std::vector<double>& out) {
+    col_sums(out);
+    if (n == 0) return;
+    for (double& v : out) v /= static_cast<double>(n);
+  };
+
   switch (config_.readout) {
     case Readout::Sum:
-      tape.readout = h.col_sums();
+      col_sums(tape.readout);
       break;
     case Readout::Mean:
-      tape.readout = h.col_means();
+      col_means(tape.readout);
       break;
     case Readout::Attention: {
       // Feature attention: a = softmax_j(θ_j · mean_g H[g,j]).
-      tape.feat_means = h.col_means();
+      col_means(tape.feat_means);
       tape.feat_attention.assign(d, 0.0);
       for (std::size_t j = 0; j < d; ++j) {
         tape.feat_attention[j] = theta_feat_(0, j) * tape.feat_means[j];
@@ -107,8 +205,9 @@ double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
       // Per-gate scalar p_g = Σ_j a_j H[g,j].
       tape.gate_repr.assign(n, 0.0);
       for (std::size_t g = 0; g < n; ++g) {
+        const double* row = h(g);
         double acc = 0.0;
-        for (std::size_t j = 0; j < d; ++j) acc += tape.feat_attention[j] * h(g, j);
+        for (std::size_t j = 0; j < d; ++j) acc += tape.feat_attention[j] * row[j];
         tape.gate_repr[g] = acc;
       }
       // Gate attention: b = softmax_g(φ · p_g); r = Σ_g b_g p_g.
@@ -119,7 +218,7 @@ double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
       for (std::size_t g = 0; g < n; ++g) {
         r += tape.gate_attention[g] * tape.gate_repr[g];
       }
-      tape.readout.push_back(r);
+      tape.readout.assign(1, r);
       break;
     }
   }
@@ -133,11 +232,6 @@ double GnnRegressor::forward(const SparseMatrix& s, const Matrix& x,
   const double prediction = config_.exp_head ? softplus(z) : z;
   telemetry::mark_stage(telemetry::Stage::Readout);
   return prediction;
-}
-
-double GnnRegressor::predict(const SparseMatrix& s, const Matrix& x) const {
-  Tape tape;
-  return forward(s, x, tape);
 }
 
 void GnnRegressor::backward(const SparseMatrix& s, const Tape& tape,

@@ -76,7 +76,7 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
       if (pool == nullptr) {
         for (std::size_t b = 0; b < bn; ++b) run_sample(b);
       } else {
-        pool->parallel_for(0, bn, [&](std::size_t b, std::size_t) { run_sample(b); });
+        pool->parallel_for(0, bn, [&](std::size_t b) { run_sample(b); });
       }
       for (auto& g : batch_grads) g *= 0.0;
       for (std::size_t b = 0; b < bn; ++b) {

@@ -29,8 +29,9 @@
 // * Micro-batching: each shard's batcher drains up to max_batch queued
 //   requests and fans them out with ThreadPool::parallel_for under the
 //   determinism contract (DESIGN.md §8) — each request writes results[i],
-//   and the const forward pass keeps its activations on a per-call tape, so
-//   concurrent answers are bit-identical to serial ones.
+//   and the const delta forward reads the shared base activations and keeps
+//   what it recomputes in its thread's workspace, so concurrent answers are
+//   bit-identical to serial ones.
 // * submit_async() is the event-driven server's path: instead of a future,
 //   the completion callback fires exactly once with the result — on the
 //   shard batcher thread normally, or on the submitting thread when the
@@ -73,6 +74,7 @@
 #include "ic/support/timeline.hpp"
 
 namespace ic::telemetry {
+class Counter;
 class Gauge;
 class Histogram;
 }  // namespace ic::telemetry
@@ -256,6 +258,15 @@ class InferenceEngine {
   ModelRegistry& registry_;
   EngineOptions options_;
   FeatureCache features_;
+  // Instruments resolved once: the request path does no registry lookups.
+  telemetry::Counter& requests_;           // serve.requests
+  telemetry::Counter& rejected_;           // serve.rejected
+  telemetry::Counter& deadline_exceeded_;  // serve.deadline_exceeded
+  telemetry::Counter& errors_;             // serve.errors
+  telemetry::Counter& batches_;            // serve.batches
+  telemetry::Counter& slow_requests_;      // serve.slow_requests
+  telemetry::Gauge& queue_depth_gauge_;    // serve.queue_depth
+  telemetry::Histogram& request_seconds_;  // serve.request_seconds
   std::unique_ptr<telemetry::TraceStore> traces_;
   /// serve.stage.<name>_seconds, indexed by Stage — resolved once so the
   /// per-request fulfill loop does no registry lookups.

@@ -39,7 +39,21 @@ const char* status_name(RequestStatus status) {
 }
 
 InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
-    : registry_(registry), options_(options), features_(options.feature_cache_max) {
+    : registry_(registry),
+      options_(options),
+      features_(options.feature_cache_max),
+      requests_(telemetry::MetricsRegistry::global().counter("serve.requests")),
+      rejected_(telemetry::MetricsRegistry::global().counter("serve.rejected")),
+      deadline_exceeded_(telemetry::MetricsRegistry::global().counter(
+          "serve.deadline_exceeded")),
+      errors_(telemetry::MetricsRegistry::global().counter("serve.errors")),
+      batches_(telemetry::MetricsRegistry::global().counter("serve.batches")),
+      slow_requests_(
+          telemetry::MetricsRegistry::global().counter("serve.slow_requests")),
+      queue_depth_gauge_(
+          telemetry::MetricsRegistry::global().gauge("serve.queue_depth")),
+      request_seconds_(telemetry::MetricsRegistry::global().histogram(
+          "serve.request_seconds")) {
   IC_CHECK(options_.shards >= 1, "EngineOptions::shards must be >= 1");
   IC_CHECK(options_.max_queue >= 1, "EngineOptions::max_queue must be >= 1");
   IC_CHECK(options_.max_batch >= 1, "EngineOptions::max_batch must be >= 1");
@@ -136,13 +150,12 @@ void InferenceEngine::fulfill(Pending& pending, PredictResult result) {
 }
 
 void InferenceEngine::enqueue(std::unique_ptr<Pending> pending) {
-  auto& metrics = telemetry::MetricsRegistry::global();
   const std::size_t index = shard_of(pending->request);
   Shard& shard = *shards_[index];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.stopping) {
-      metrics.counter("serve.rejected").add(1);
+      rejected_.add(1);
       PredictResult rejected;
       rejected.status = RequestStatus::Rejected;
       rejected.error = "engine is shutting down";
@@ -151,7 +164,7 @@ void InferenceEngine::enqueue(std::unique_ptr<Pending> pending) {
       return;
     }
     if (shard.queue.size() >= options_.max_queue) {
-      metrics.counter("serve.rejected").add(1);
+      rejected_.add(1);
       PredictResult rejected;
       rejected.status = RequestStatus::Rejected;
       rejected.error = "queue full (max_queue=" +
@@ -162,10 +175,10 @@ void InferenceEngine::enqueue(std::unique_ptr<Pending> pending) {
     }
     pending->request.timeline.mark(telemetry::Stage::Route);
     shard.queue.push_back(std::move(pending));
-    metrics.counter("serve.requests").add(1);
+    requests_.add(1);
     const std::size_t total =
         total_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-    metrics.gauge("serve.queue_depth").set(static_cast<double>(total));
+    queue_depth_gauge_.set(static_cast<double>(total));
     shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
   }
   shard.work_cv.notify_one();
@@ -227,7 +240,6 @@ std::vector<PredictResult> InferenceEngine::predict_batch(
 }
 
 PredictResult InferenceEngine::process(Pending& pending) {
-  auto& metrics = telemetry::MetricsRegistry::global();
   const PredictRequest& request = pending.request;
   telemetry::TraceSpan span("serve/request");
   span.annotate("request_id", request.request_id);
@@ -244,7 +256,7 @@ PredictResult InferenceEngine::process(Pending& pending) {
       std::chrono::duration<double>(Clock::now() - started).count();
   if (slow_request_ms_ >= 0 &&
       (queue_wait + compute) * 1e3 > static_cast<double>(slow_request_ms_)) {
-    metrics.counter("serve.slow_requests").add(1);
+    slow_requests_.add(1);
     std::uint64_t fingerprint = 0;  // 0 when the circuit lookup itself failed
     {
       std::lock_guard<std::mutex> lock(circuits_mu_);
@@ -264,10 +276,9 @@ PredictResult InferenceEngine::process(Pending& pending) {
 
 PredictResult InferenceEngine::process_inner(Pending& pending,
                                              Clock::time_point started) {
-  auto& metrics = telemetry::MetricsRegistry::global();
   PredictResult out;
   if (started > pending.deadline) {
-    metrics.counter("serve.deadline_exceeded").add(1);
+    deadline_exceeded_.add(1);
     out.status = RequestStatus::DeadlineExceeded;
     out.error = "deadline exceeded before execution";
     return out;
@@ -276,7 +287,7 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
   try {
     const auto snapshot = registry_.get(request.model);
     if (snapshot == nullptr) {
-      metrics.counter("serve.errors").add(1);
+      errors_.add(1);
       out.status = RequestStatus::Error;
       out.error = "unknown model '" + request.model + "'";
       return out;
@@ -286,7 +297,7 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
       std::lock_guard<std::mutex> lock(circuits_mu_);
       const auto it = circuits_.find(request.circuit);
       if (it == circuits_.end()) {
-        metrics.counter("serve.errors").add(1);
+        errors_.add(1);
         out.status = RequestStatus::Error;
         out.error = "unknown circuit '" + request.circuit + "'";
         return out;
@@ -296,7 +307,7 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
     pending.fingerprint = circuit.fingerprint;
     for (const circuit::GateId id : request.selection) {
       if (id >= circuit.netlist->size()) {
-        metrics.counter("serve.errors").add(1);
+        errors_.add(1);
         out.status = RequestStatus::Error;
         out.error = "gate id " + std::to_string(id) + " out of range (circuit has " +
                     std::to_string(circuit.netlist->size()) + " gates)";
@@ -306,17 +317,23 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
     const auto features =
         features_.get(circuit.netlist, snapshot->spec.features,
                       snapshot->structure_kind(), circuit.fingerprint);
-    const graph::Matrix x =
-        FeatureCache::features_for(*features, request.selection);
+    const auto base = features->base(snapshot);
+    const graph::Matrix rows =
+        FeatureCache::selected_rows(*features, request.selection);
     pending.request.timeline.mark(telemetry::Stage::FeatureBuild);
 
-    out.log_runtime = snapshot->model->predict(*features->structure, x);
+    // The delta forward: only the rows the selection reaches are
+    // recomputed, in this thread's workspace; the answer is bit-identical
+    // to predict() on the selection's full feature matrix (DESIGN.md §8).
+    thread_local nn::Workspace workspace;
+    out.log_runtime = snapshot->model->predict(
+        *features->structure, *base, request.selection, rows, workspace);
     // Targets are log(1 + microseconds); mirror RuntimeEstimator exactly.
     out.seconds = std::expm1(out.log_runtime) / 1e6;
     out.model_version = snapshot->version;
     return out;
   } catch (const std::exception& e) {
-    metrics.counter("serve.errors").add(1);
+    errors_.add(1);
     out.status = RequestStatus::Error;
     out.error = e.what();
     return out;
@@ -345,8 +362,6 @@ void InferenceEngine::finish_timeline(Pending& pending,
 
 void InferenceEngine::batcher_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  auto& metrics = telemetry::MetricsRegistry::global();
-  auto& latency = metrics.histogram("serve.request_seconds");
   // Heartbeat slot per shard batcher: requests served + live queue depth. A
   // batcher idles legitimately between requests, so the stall watchdog is off.
   const std::string progress_name =
@@ -375,7 +390,7 @@ void InferenceEngine::batcher_loop(std::size_t shard_index) {
       shard.in_flight = n;
       const std::size_t total =
           total_depth_.fetch_sub(n, std::memory_order_relaxed) - n;
-      metrics.gauge("serve.queue_depth").set(static_cast<double>(total));
+      queue_depth_gauge_.set(static_cast<double>(total));
       shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
     }
 
@@ -385,16 +400,16 @@ void InferenceEngine::batcher_loop(std::size_t shard_index) {
       // Indexed result slots over the one shared const model: the
       // determinism contract (DESIGN.md §8). Each slot is written by exactly
       // one task; fulfillment below happens on this thread in index order.
-      shard.pool->parallel_for(0, batch.size(), [&](std::size_t i, std::size_t) {
+      shard.pool->parallel_for(0, batch.size(), [&](std::size_t i) {
         results[i] = process(*batch[i]);
       });
-      metrics.counter("serve.batches").add(1);
+      batches_.add(1);
       batch_size_hist_->observe(static_cast<double>(batch.size()));
       const auto done = Clock::now();
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const double total =
             std::chrono::duration<double>(done - batch[i]->enqueued).count();
-        latency.observe(total);
+        request_seconds_.observe(total);
         finish_timeline(*batch[i], shard_index, total);
         fulfill(*batch[i], std::move(results[i]));
       }

@@ -1,5 +1,7 @@
 #include "ic/serve/feature_cache.hpp"
 
+#include <algorithm>
+
 #include "ic/circuit/bench_io.hpp"
 #include "ic/support/metrics.hpp"
 #include "ic/support/trace.hpp"
@@ -16,6 +18,17 @@ std::uint64_t netlist_fingerprint(const circuit::Netlist& netlist) {
   return h;
 }
 
+FeatureCache::FeatureCache(std::size_t max_entries)
+    : hits_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.hits")),
+      misses_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.misses")),
+      entries_gauge_(telemetry::MetricsRegistry::global().gauge(
+          "serve.feature_cache.entries")),
+      evictions_(telemetry::MetricsRegistry::global().gauge(
+          "serve.feature_cache.evictions")),
+      max_entries_(max_entries) {}
+
 std::shared_ptr<const FeatureCache::Entry> FeatureCache::get(
     std::shared_ptr<const circuit::Netlist> circuit, data::FeatureSet features,
     data::StructureKind kind) {
@@ -26,16 +39,15 @@ std::shared_ptr<const FeatureCache::Entry> FeatureCache::get(
 std::shared_ptr<const FeatureCache::Entry> FeatureCache::get(
     std::shared_ptr<const circuit::Netlist> circuit, data::FeatureSet features,
     data::StructureKind kind, std::uint64_t fp) {
-  auto& registry = telemetry::MetricsRegistry::global();
   const Key key{fp, features, kind};
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
-    registry.counter("serve.feature_cache.hits").add(1);
+    hits_.add(1);
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.entry;
   }
-  registry.counter("serve.feature_cache.misses").add(1);
+  misses_.add(1);
   telemetry::TraceSpan span("serve/featurize");
   auto entry = std::make_shared<Entry>();
   entry->fingerprint = fp;
@@ -47,28 +59,44 @@ std::shared_ptr<const FeatureCache::Entry> FeatureCache::get(
   lru_.push_front(key);
   entries_.emplace(key, Slot{entry, lru_.begin()});
   evict_locked();
-  registry.gauge("serve.feature_cache.entries")
-      .set(static_cast<double>(entries_.size()));
+  entries_gauge_.set(static_cast<double>(entries_.size()));
   return entry;
 }
 
 void FeatureCache::evict_locked() {
   if (max_entries_ == 0) return;
-  auto& registry = telemetry::MetricsRegistry::global();
   while (entries_.size() > max_entries_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
-    registry.gauge("serve.feature_cache.evictions").add(1.0);
+    evictions_.add(1.0);
   }
 }
 
-graph::Matrix FeatureCache::features_for(
-    const Entry& entry, const std::vector<circuit::GateId>& selection) {
-  graph::Matrix x = entry.base_features;
-  for (const circuit::GateId id : selection) {
-    x(id, data::kMaskColumn) = 1.0;
+std::shared_ptr<const nn::BaseActivations> FeatureCache::Entry::base(
+    const std::shared_ptr<const ModelSnapshot>& snapshot) const {
+  std::lock_guard<std::mutex> lock(base_mu_);
+  std::erase_if(bases_, [](const auto& b) { return b.first.expired(); });
+  for (const auto& [owner, base] : bases_) {
+    if (!owner.owner_before(snapshot) && !snapshot.owner_before(owner)) {
+      return base;
+    }
   }
-  return x;
+  auto built = std::make_shared<const nn::BaseActivations>(
+      snapshot->model->base(*structure, base_features));
+  bases_.emplace_back(snapshot, built);
+  return built;
+}
+
+graph::Matrix FeatureCache::selected_rows(
+    const Entry& entry, const std::vector<circuit::GateId>& selection) {
+  const graph::Matrix& base = entry.base_features;
+  graph::Matrix rows(selection.size(), base.cols());
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    const double* from = base.data() + selection[i] * base.cols();
+    std::copy(from, from + base.cols(), rows.data() + i * base.cols());
+    rows(i, data::kMaskColumn) = 1.0;
+  }
+  return rows;
 }
 
 std::size_t FeatureCache::size() const {
@@ -80,18 +108,14 @@ void FeatureCache::set_max_entries(std::size_t max_entries) {
   std::lock_guard<std::mutex> lock(mu_);
   max_entries_ = max_entries;
   evict_locked();
-  telemetry::MetricsRegistry::global()
-      .gauge("serve.feature_cache.entries")
-      .set(static_cast<double>(entries_.size()));
+  entries_gauge_.set(static_cast<double>(entries_.size()));
 }
 
 void FeatureCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
-  telemetry::MetricsRegistry::global()
-      .gauge("serve.feature_cache.entries")
-      .set(0.0);
+  entries_gauge_.set(0.0);
 }
 
 }  // namespace ic::serve

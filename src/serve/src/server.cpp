@@ -58,6 +58,12 @@ struct ResponseSlot {
 /// server hold as much memory as it sends.
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
+/// Most answer bytes a connection may owe before the server stops reading
+/// from it. A peer that pipelines requests and never reads would otherwise
+/// make the server hold every answer it owes; past this its requests wait
+/// in the socket, and reading resumes once the peer drains its answers.
+constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
+
 /// The answer to a line the server cannot act on; counts serve.wire_errors.
 std::string wire_error(const std::string& message) {
   telemetry::MetricsRegistry::global().counter("serve.wire_errors").add(1);
@@ -272,7 +278,10 @@ void Server::io_loop(std::size_t index) {
     for (const auto& conn : loop.conns) {
       std::lock_guard<std::mutex> lock(conn->mu);
       short events = 0;
-      if (!conn->eof && !conn->closing) events |= POLLIN;
+      if (!conn->eof && !conn->closing &&
+          conn->outbuf.size() <= kMaxUnsentBytes) {
+        events |= POLLIN;
+      }
       if (conn->want_pollout) events |= POLLOUT;
       if (conn->fd >= 0 && events != 0) {
         fds.push_back({conn->fd, events, 0});

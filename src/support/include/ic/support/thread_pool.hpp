@@ -66,26 +66,24 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
-    enqueue([task](std::size_t) { (*task)(); });
+    enqueue([task] { (*task)(); });
     return future;
   }
 
-  /// Run body(i, executor) for every i in [begin, end) and block until all
-  /// calls finish. Work is split into contiguous chunks, statically, one per
+  /// Run body(i) for every i in [begin, end) and block until all calls
+  /// finish. Work is split into contiguous chunks, statically, one per
   /// executor: the calling thread runs chunk 0 itself (so progress is
   /// guaranteed even when every worker is busy) and the workers take the
-  /// rest. `executor` is a dense id in [0, worker_count()] — 0 is the caller
-  /// — usable to index per-executor scratch state.
-  /// The first exception thrown by any chunk is rethrown here.
+  /// rest. Scratch state a body needs is per thread (thread_local), not per
+  /// call. The first exception thrown by any chunk is rethrown here.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t index,
-                                             std::size_t executor)>& body);
+                    const std::function<void(std::size_t index)>& body);
 
  private:
-  using Task = std::function<void(std::size_t worker_id)>;
+  using Task = std::function<void()>;
 
   void enqueue(Task task);
-  void worker_loop(std::size_t worker_id);
+  void worker_loop();
 
   std::mutex mu_;
   std::condition_variable cv_;

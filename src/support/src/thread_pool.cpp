@@ -14,12 +14,11 @@ namespace ic::support {
 
 namespace {
 
-// Which pool (if any) owns the current thread, and its worker id there.
-// parallel_for uses this to detect same-pool reentrancy: a worker that
-// blocked on chunks queued behind other blocked workers would deadlock, so
-// reentrant calls run inline instead.
+// Which pool (if any) owns the current thread. parallel_for uses this to
+// detect same-pool reentrancy: a worker that blocked on chunks queued behind
+// other blocked workers would deadlock, so reentrant calls run inline
+// instead.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_id = 0;
 
 }  // namespace
 
@@ -30,7 +29,7 @@ ThreadPool::ThreadPool(std::size_t workers)
   IC_ASSERT(workers >= 1);
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -81,9 +80,8 @@ void ThreadPool::enqueue(Task task) {
   cv_.notify_one();
 }
 
-void ThreadPool::worker_loop(std::size_t worker_id) {
+void ThreadPool::worker_loop() {
   tls_pool = this;
-  tls_worker_id = worker_id;
   for (;;) {
     Task task;
     {
@@ -97,18 +95,18 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
       queue_depth_.set(static_cast<double>(queue_.size()));
     }
     telemetry::TraceSpan span("pool/task");
-    task(worker_id);
+    task();
   }
 }
 
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
+    const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
   if (tls_pool == this) {
-    // Reentrant call from one of our own workers: run inline under this
-    // thread's usual executor id rather than risk a queue-wait deadlock.
-    for (std::size_t i = begin; i < end; ++i) body(i, 1 + tls_worker_id);
+    // Reentrant call from one of our own workers: run inline rather than
+    // risk a queue-wait deadlock.
+    for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
   const std::size_t n = end - begin;
@@ -122,22 +120,19 @@ void ThreadPool::parallel_for(
     const std::size_t lo = begin + e * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    // Workers report their dense executor id as 1 + worker_id; with chunked
-    // submission each chunk runs on exactly one thread, so per-executor
-    // scratch state is never shared.
-    auto chunk_task = std::make_shared<std::packaged_task<void(std::size_t)>>(
-        [&body, lo, hi](std::size_t worker_id) {
-          for (std::size_t i = lo; i < hi; ++i) body(i, 1 + worker_id);
+    auto chunk_task = std::make_shared<std::packaged_task<void()>>(
+        [&body, lo, hi] {
+          for (std::size_t i = lo; i < hi; ++i) body(i);
         });
     pending.push_back(chunk_task->get_future());
-    enqueue([chunk_task](std::size_t worker_id) { (*chunk_task)(worker_id); });
+    enqueue([chunk_task] { (*chunk_task)(); });
   }
 
-  // The caller is executor 0 and always takes the first chunk.
+  // The caller always takes the first chunk.
   std::exception_ptr first_error;
   try {
     const std::size_t hi = std::min(end, begin + chunk);
-    for (std::size_t i = begin; i < hi; ++i) body(i, 0);
+    for (std::size_t i = begin; i < hi; ++i) body(i);
   } catch (...) {
     first_error = std::current_exception();
   }

@@ -56,6 +56,33 @@ TEST(Sparse, SpmmTransposedMatchesDense) {
   EXPECT_LT(Matrix::max_abs_diff(a, b), 1e-12);
 }
 
+TEST(Sparse, TransposeListsEachColumnsRowsInOrder) {
+  // Non-square, so rows and columns cannot be confused.
+  const SparseMatrix s = SparseMatrix::from_triplets(
+      2, 3, {0, 0, 1, 1}, {0, 2, 0, 1}, {1, 2, 3, 4});
+  const SparseMatrix t = s.transpose();
+  ASSERT_EQ(t.rows(), 3u);
+  ASSERT_EQ(t.cols(), 2u);
+  EXPECT_EQ(Matrix::max_abs_diff(t.to_dense(), s.to_dense().transpose()), 0.0);
+  const auto readers = t.row_cols(0);  // rows of s with an entry in column 0
+  ASSERT_EQ(readers.size(), 2u);
+  EXPECT_EQ(readers[0], 0u);
+  EXPECT_EQ(readers[1], 1u);
+  EXPECT_EQ(t.row_cols(1).size(), 1u);
+}
+
+TEST(Sparse, SpmmRowIsARowOfSpmm) {
+  Rng rng(5);
+  const SparseMatrix s = small();
+  const Matrix x = Matrix::random_normal(3, 4, 1.0, rng);
+  const Matrix all = s.spmm(x);
+  double row[4];
+  for (std::size_t r = 0; r < 3; ++r) {
+    s.spmm_row(r, [&](std::size_t c) { return x.data() + c * 4; }, 4, row);
+    for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(row[j], all(r, j));
+  }
+}
+
 TEST(Sparse, SpmvMatchesSpmm) {
   const SparseMatrix s = small();
   const std::vector<double> x{1.0, -1.0, 2.0};

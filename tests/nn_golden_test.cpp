@@ -13,6 +13,10 @@
 //  3. InferenceEngine answers, at jobs=4, from a model trained and saved
 //     here.
 //
+// The NnDelta cases hold the delta predict (GnnRegressor::predict against
+// BaseActivations) to the full pass bit for bit, for the same
+// configurations; they need no golden file.
+//
 // The values are those of an x86-64 build, whose compilers do not contract
 // a*b+c into FMA by default; a target that does will diverge here. A
 // deliberate numerics change (SIMD, FMA, reordered sums) is a versioned
@@ -21,11 +25,14 @@
 //     IC_REGEN_GOLDEN=tests/golden/nn_outputs.txt ./nn_golden_test
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,6 +270,100 @@ TEST(NnGolden, OutputsAreBitIdentical) {
     const auto it = golden.find(name);
     ASSERT_NE(it, golden.end()) << "no golden entry for " << name;
     EXPECT_EQ(it->second, payload) << "numerics diverged on " << name;
+  }
+}
+
+/// The feature rows `selection` changes from the unselected features, in
+/// selection order, as a caller of the delta predict passes them.
+graph::Matrix changed_rows(const graph::Matrix& x,
+                           const std::vector<GateId>& selection) {
+  graph::Matrix values(selection.size(), x.cols());
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) values(i, j) = x(selection[i], j);
+  }
+  return values;
+}
+
+TEST(NnDelta, PredictMatchesTheFullPassBitForBit) {
+  circuit::Netlist circuit = golden_circuit();
+  const GateId isolated = circuit.add_input("isolated");  // no neighbours
+  std::vector<GateId> every(circuit.size());
+  std::iota(every.begin(), every.end(), GateId{0});
+  std::vector<GateId> random8;
+  Rng rng(31);
+  while (random8.size() < 8) {
+    const auto id = static_cast<GateId>(rng.index(circuit.size()));
+    if (std::find(random8.begin(), random8.end(), id) == random8.end()) {
+      random8.push_back(id);
+    }
+  }
+  const std::vector<std::pair<std::string, std::vector<GateId>>> cases = {
+      {"empty", {}},
+      {"one", {40}},
+      {"isolated", {isolated}},
+      {"duplicates", {7, 3, 7, 7}},
+      {"random8", random8},
+      {"random8b", {2, 19, 33, 47, 58, 71, 88, 95}},
+      {"every", every},
+  };
+  const graph::Matrix unselected =
+      data::gate_features(circuit, {}, data::FeatureSet::All);
+  Workspace workspace;  // shared by every case, as an engine thread's is
+  for (const ModelCase& mc : kCases) {
+    const auto s = data::make_structure(circuit, mc.structure);
+    const GnnRegressor model(config_for(mc));
+    const BaseActivations base = model.base(*s, unselected);
+    for (const auto& [label, selection] : cases) {
+      const auto x =
+          data::gate_features(circuit, selection, data::FeatureSet::All);
+      const double full = model.predict(*s, x);
+      const double delta = model.predict(*s, base, selection,
+                                         changed_rows(x, selection), workspace);
+      EXPECT_EQ(std::memcmp(&full, &delta, sizeof full), 0)
+          << mc.label << " " << label << ": " << hex(full) << " vs "
+          << hex(delta);
+    }
+  }
+}
+
+TEST(NnDelta, ReachFollowsTheColumnPatternOfAnAsymmetricOperator) {
+  // Row r reads only row r + 1, so a change at row k reaches rows k − 1,
+  // k − 2, …; a reach taken from S's row pattern would miss all of them.
+  // Nothing reads row 0.
+  constexpr std::size_t kRows = 12;
+  std::vector<std::size_t> tr, tc;
+  std::vector<double> tv;
+  for (std::size_t r = 0; r + 1 < kRows; ++r) {
+    tr.push_back(r);
+    tc.push_back(r + 1);
+    tv.push_back(0.5 + 0.1 * static_cast<double>(r));
+  }
+  const auto s = graph::SparseMatrix::from_triplets(kRows, kRows, tr, tc, tv);
+  Rng rng(5);
+  const graph::Matrix x0 = graph::Matrix::random_uniform(kRows, 3, 1.0, rng);
+  Workspace workspace;
+  for (const ConvMode mode : {ConvMode::Propagate, ConvMode::Chebyshev}) {
+    GnnConfig cfg;
+    cfg.conv_mode = mode;
+    cfg.in_features = 3;
+    cfg.hidden = {4, 3};
+    cfg.seed = 8;
+    const GnnRegressor model(cfg);
+    const BaseActivations base = model.base(s, x0);
+    for (const GateId k : {GateId{0}, GateId{6}, GateId{11}}) {
+      const graph::Matrix values =
+          graph::Matrix::random_uniform(1, 3, 1.0, rng);
+      graph::Matrix x = x0;
+      for (std::size_t j = 0; j < 3; ++j) x(k, j) = values(0, j);
+      const double full = model.predict(s, x);
+      const double delta =
+          model.predict(s, base, std::vector<GateId>{k}, values, workspace);
+      EXPECT_EQ(std::memcmp(&full, &delta, sizeof full), 0)
+          << "row " << k << ": " << hex(full) << " vs " << hex(delta);
+      if (k > 0) {
+        EXPECT_NE(full, model.predict(s, x0)) << "row " << k;
+      }
+    }
   }
 }
 

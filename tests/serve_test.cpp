@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <thread>
 
@@ -29,6 +33,21 @@ using circuit::Netlist;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "serve_" + name;
+}
+
+/// A raw TCP connection to the loopback server, or -1.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 Netlist test_circuit() {
@@ -213,21 +232,66 @@ TEST_F(ServeTest, FeatureCacheEvictsLeastRecentlyUsedAtCap) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
-TEST_F(ServeTest, FeatureCacheSelectionMatchesDirectFeaturization) {
-  FeatureCache cache;
-  const auto entry = cache.get(circuit_, data::FeatureSet::All,
-                               data::StructureKind::Adjacency);
-  const std::vector<GateId> selection = {1, 7, 20, 33};
-  const graph::Matrix cached = FeatureCache::features_for(*entry, selection);
-  const graph::Matrix direct =
-      data::gate_features(*circuit_, selection, data::FeatureSet::All);
-  ASSERT_EQ(cached.rows(), direct.rows());
-  ASSERT_EQ(cached.cols(), direct.cols());
-  for (std::size_t r = 0; r < cached.rows(); ++r) {
-    for (std::size_t c = 0; c < cached.cols(); ++c) {
-      EXPECT_EQ(cached(r, c), direct(r, c));
-    }
+TEST_F(ServeTest, DeltaAnswersMatchTheFullPassAcrossCircuitsAndReloads) {
+  // One engine at jobs=4 serves two circuits of different sizes, predicts
+  // interleaved, then a hot-reloaded model. Each answer must be bit-identical
+  // to the full pass on data::gate_features for its circuit and model
+  // version: a base keyed or invalidated wrongly, or a workspace sized for
+  // the other circuit, answers differently.
+  const std::string path = temp_path("delta_reload.txt");
+  write_model(path, circuit_, 1);
+  ModelRegistry registry;
+  registry.load("default", path);
+  EngineOptions options;
+  options.jobs = 4;
+  InferenceEngine engine(registry, options);
+  circuit::GeneratorSpec spec;
+  spec.num_inputs = 16;
+  spec.num_outputs = 8;
+  spec.num_gates = 200;
+  spec.seed = 9;
+  const std::map<std::string, std::shared_ptr<const Netlist>> circuits = {
+      {"small", circuit_},
+      {"big", std::make_shared<const Netlist>(
+                  circuit::generate_circuit(spec, "big"))}};
+  for (const auto& [name, netlist] : circuits) {
+    engine.register_circuit(name, netlist);
   }
+
+  const auto check = [&](std::uint64_t seed) {
+    const auto snapshot = registry.get("default");
+    std::mt19937_64 rng(seed);
+    std::vector<PredictRequest> requests;
+    for (std::size_t i = 0; i < 96; ++i) {
+      PredictRequest request;
+      request.circuit = i % 2 == 0 ? "small" : "big";
+      const std::size_t n = circuits.at(request.circuit)->size();
+      const std::size_t count = i % 16 == 15 ? n : 1 + rng() % 12;
+      for (std::size_t g = 0; g < count; ++g) {
+        request.selection.push_back(
+            static_cast<GateId>(count == n ? g : rng() % n));
+      }
+      requests.push_back(std::move(request));
+    }
+    const auto results = engine.predict_batch(requests);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].error;
+      EXPECT_EQ(results[i].model_version, snapshot->version);
+      const Netlist& netlist = *circuits.at(requests[i].circuit);
+      const auto s = data::make_structure(netlist, snapshot->structure_kind());
+      const double full = snapshot->model->predict(
+          *s, data::gate_features(netlist, requests[i].selection,
+                                  snapshot->spec.features));
+      EXPECT_EQ(std::memcmp(&full, &results[i].log_runtime, sizeof full), 0)
+          << requests[i].circuit << " request " << i << " at version "
+          << snapshot->version;
+    }
+  };
+  check(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  write_model(path, circuit_, 2);
+  ASSERT_EQ(registry.poll_reload(), 1u);
+  check(2);
 }
 
 // ---- InferenceEngine -------------------------------------------------------
@@ -728,17 +792,11 @@ TEST_F(ServeTest, OverlongUnterminatedLineIsAnsweredAndClosed) {
   const auto before = wire_errors.value();
 
   // A peer that streams 2 MiB and never sends a newline.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   const timeval timeout{10, 0};  // a server that never answers fails, not hangs
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const std::string junk(64 * 1024, 'x');
   for (std::size_t sent = 0; sent < 2 * 1024 * 1024;) {
     const ssize_t n = ::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL);
@@ -771,6 +829,118 @@ TEST_F(ServeTest, OverlongUnterminatedLineIsAnsweredAndClosed) {
   WireRequest request;
   request.select = {2, 4};
   EXPECT_TRUE(client.call(request).ok);
+
+  server.shutdown();
+  engine.stop();
+}
+
+TEST_F(ServeTest, PeerThatNeverReadsStallsAndThenGetsEveryAnswerInOrder) {
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry, {});
+  engine.register_circuit("default", circuit_);
+  Server server(engine, registry, {});
+  server.start();
+
+  // The peer pipelines predicts and reads nothing. Once it owes more than a
+  // bounded amount of answers the server stops reading it, so the peer's
+  // sends stall: it cannot make the server hold as much as it sends.
+  constexpr std::size_t kLimit = std::size_t{32} << 20;
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  std::uint64_t next_id = 0;
+  std::string unsent;
+  std::size_t sent = 0;
+  std::uint64_t lines_sent = 0;  // whole lines, newline included
+  bool mid_line = false;         // the last send ended inside a line
+  auto last_progress = std::chrono::steady_clock::now();
+  while (sent < kLimit) {
+    if (unsent.empty()) {
+      for (int i = 0; i < 256; ++i) {
+        unsent += R"({"op":"predict","select":[2,4,9],"id":)" +
+                  std::to_string(next_id++) + "}\n";
+      }
+    }
+    const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      const auto bytes = static_cast<std::size_t>(n);
+      lines_sent += static_cast<std::uint64_t>(
+          std::count(unsent.begin(), unsent.begin() + n, '\n'));
+      mid_line = unsent[bytes - 1] != '\n';
+      unsent.erase(0, bytes);
+      sent += bytes;
+      last_progress = std::chrono::steady_clock::now();
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    if (std::chrono::steady_clock::now() - last_progress >
+        std::chrono::seconds(1)) {
+      break;  // stalled
+    }
+    pollfd pfd{fd, POLLOUT, 0};
+    ::poll(&pfd, 1, 50);
+  }
+  EXPECT_LT(sent, kLimit) << "the server kept reading a peer that never reads";
+  EXPECT_GT(lines_sent, 0u);
+
+  // Another client is served meanwhile. Its predict may find the engine
+  // queue still full of the stalled peer's requests; those drain, since the
+  // server reads no more of them.
+  {
+    Client other("127.0.0.1", server.port());
+    EXPECT_TRUE(other.ping().ok);
+    WireRequest request;
+    request.select = {2, 4};
+    bool served = false;
+    for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+      const WireResponse response = other.call(request);
+      served = response.ok;
+      if (!served) {
+        ASSERT_EQ(response.status, "rejected") << response.error;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+    EXPECT_TRUE(served);
+  }
+
+  // Draining resumes reading. The peer finishes the line it was cut off in
+  // and reads; every request it sent gets its answer, in order.
+  std::string tail =
+      mid_line ? unsent.substr(0, unsent.find('\n') + 1) : std::string();
+  const std::uint64_t expected = lines_sent + (mid_line ? 1 : 0);
+  std::uint64_t answers = 0;
+  std::uint64_t misordered = 0;
+  std::string received;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (answers < expected && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, static_cast<short>(POLLIN | (tail.empty() ? 0 : POLLOUT)),
+               0};
+    ::poll(&pfd, 1, 100);
+    if ((pfd.revents & POLLOUT) != 0) {
+      const ssize_t n = ::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL);
+      if (n > 0) tail.erase(0, static_cast<std::size_t>(n));
+    }
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    char buf[1 << 16];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) break;
+    if (n < 0) continue;
+    received.append(buf, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = received.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
+      const WireResponse response =
+          parse_response(received.substr(start, nl - start));
+      if (!response.has_id || response.id != answers) ++misordered;
+      ++answers;
+    }
+    received.erase(0, start);
+  }
+  ::close(fd);
+  EXPECT_EQ(answers, expected);
+  EXPECT_EQ(misordered, 0u);
 
   server.shutdown();
   engine.stop();

@@ -52,22 +52,18 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(0, kN, [&](std::size_t i, std::size_t executor) {
-    EXPECT_LE(executor, pool.worker_count());
-    hits[i].fetch_add(1);
-  });
+  pool.parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
   ThreadPool pool(4);
   int calls = 0;
-  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for(5, 5, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  // One item: runs inline on the caller (executor 0).
-  pool.parallel_for(0, 1, [&](std::size_t i, std::size_t executor) {
+  // One item: runs inline on the caller.
+  pool.parallel_for(0, 1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
-    EXPECT_EQ(executor, 0u);
     ++calls;
   });
   EXPECT_EQ(calls, 1);
@@ -77,7 +73,7 @@ TEST(ThreadPool, ParallelForPropagatesChunkExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(
       pool.parallel_for(0, 100,
-                        [](std::size_t i, std::size_t) {
+                        [](std::size_t i) {
                           if (i == 63) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
@@ -89,7 +85,7 @@ TEST(ThreadPool, ReentrantParallelForRunsInline) {
   ThreadPool pool(1);
   auto result = pool.submit([&pool] {
     std::size_t sum = 0;
-    pool.parallel_for(0, 10, [&](std::size_t i, std::size_t) { sum += i; });
+    pool.parallel_for(0, 10, [&](std::size_t i) { sum += i; });
     return sum;
   });
   EXPECT_EQ(result.get(), 45u);

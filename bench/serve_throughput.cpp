@@ -1,6 +1,6 @@
-// Serving-layer throughput bench (DESIGN.md §9): micro-batched inference
-// requests/s and latency percentiles as the engine's worker count grows,
-// plus the cold-vs-warm feature-cache effect. All numbers are recorded as
+// Serving-layer throughput bench (DESIGN.md §9): inference requests/s and
+// latency percentiles as the engine's worker count grows, plus the
+// cold-vs-warm feature-cache effect. All numbers are recorded as
 // bench.serve.* gauges via the metrics registry (ICNET_METRICS_OUT snapshots
 // them; ICNET_BENCH_OUT writes the normalized BENCH_serve.json), and the
 // latency percentiles come straight from Histogram::quantile on the engine's
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <future>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -158,93 +157,6 @@ int main() {
     icbench::record_measurement(tag + ".requests_per_second", rps);
     icbench::record_measurement(tag + ".p50_latency_seconds", p50);
     icbench::record_measurement(tag + ".p99_latency_seconds", p99);
-  }
-
-  // Shards axis: N independent engine pipelines (each with a private
-  // single-worker pool) fed from multiple submitter threads, the
-  // configuration `icnet_cli serve --shards N --jobs 1` runs. Submission is
-  // striped across 4 threads so the measurement is not capped by one
-  // submitting core the way the jobs axis above is.
-  std::printf("%8s %12s %12s %12s\n", "shards", "requests/s", "p50 (ms)",
-              "p99 (ms)");
-  double shards1_rps = 0.0;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    ic::serve::ModelRegistry registry;
-    registry.load("default", model_path);
-    ic::serve::EngineOptions options;
-    options.shards = shards;
-    options.jobs = 1;
-    options.max_batch = 64;
-    options.max_queue = requests + 1;
-    ic::serve::InferenceEngine engine(registry, options);
-    engine.register_circuit("default", circuit);
-
-    // Warm the feature cache and every shard's batcher out of band.
-    for (std::size_t i = 0; i < selections.size(); ++i) {
-      ic::serve::PredictRequest warmup;
-      warmup.selection = selections[i];
-      engine.predict(std::move(warmup));
-      if (i >= 32) break;
-    }
-    metrics.histogram("serve.request_seconds").reset();
-    metrics.histogram("serve.batch_size").reset();
-
-    const std::size_t submitters = 4;
-    std::vector<std::future<ic::serve::PredictResult>> futures(requests);
-    std::vector<std::thread> threads;
-    ic::Timer timer;
-    for (std::size_t t = 0; t < submitters; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::size_t i = t; i < requests; i += submitters) {
-          ic::serve::PredictRequest request;
-          request.selection = selections[i];
-          futures[i] = engine.submit(std::move(request));
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    for (auto& f : futures) {
-      const auto result = f.get();
-      if (!result.ok()) {
-        std::fprintf(stderr, "request failed: %s\n", result.error.c_str());
-        return 1;
-      }
-    }
-    const double wall = timer.seconds();
-    engine.stop();
-
-    const auto& latency = metrics.histogram("serve.request_seconds");
-    const double rps = static_cast<double>(requests) / wall;
-    const double p50 = latency.quantile(0.50);
-    const double p99 = latency.quantile(0.99);
-    std::printf("%8zu %12.0f %12.3f %12.3f\n", shards, rps, p50 * 1e3,
-                p99 * 1e3);
-    if (shards == 1) shards1_rps = rps;
-    const std::string tag = "serve.shards" + std::to_string(shards);
-    icbench::record_measurement(tag + ".requests_per_second", rps);
-    icbench::record_measurement(tag + ".p50_latency_seconds", p50);
-    icbench::record_measurement(tag + ".p99_latency_seconds", p99);
-    // Batching efficiency: how full the micro-batches actually ran. The
-    // engine observes serve.batch_size once per batch; mean occupancy near 1
-    // means the batchers kept outrunning the submitters, occupancy near
-    // max_batch means requests queued deep enough to coalesce.
-    const auto& occupancy = metrics.histogram("serve.batch_size");
-    if (occupancy.count() > 0) {
-      const double mean_batch =
-          occupancy.sum() / static_cast<double>(occupancy.count());
-      std::printf("         batch occupancy: mean %.1f, max %.0f over %llu "
-                  "batches\n",
-                  mean_batch, occupancy.max(),
-                  static_cast<unsigned long long>(occupancy.count()));
-      icbench::record_measurement(tag + ".batch_size_mean", mean_batch);
-      icbench::record_measurement(tag + ".batch_size_max", occupancy.max());
-      icbench::record_measurement(tag + ".batches",
-                                  static_cast<double>(occupancy.count()));
-    }
-    if (shards == 4 && shards1_rps > 0) {
-      std::printf("shards=1 -> shards=4 scaling: %.2fx\n", rps / shards1_rps);
-    }
   }
 
   icbench::flush_bench_metrics();

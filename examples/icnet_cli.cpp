@@ -22,13 +22,12 @@
 //                     [--top-k K] [--seed S] [--area-weight W]
 //                     [--depth-weight W] [--sa-temp T] [--sa-cooling C]
 //                     [--verify-max-conflicts N] [--out report.json]
-//                     in-process only: [--shards N] [--batch B]
+//                     in-process only: [--batch B]
 //                     Same seed+flags ⇒ byte-identical report, local or
-//                     remote, at any --jobs/--shards.
+//                     remote, at any --jobs.
 //   icnet_cli serve   <circuit.bench> <model> --port P [--host H]
-//                     [--shards N] [--io-threads N] [--max-queue N]
-//                     [--batch B] [--timeout-ms T] [--reload-ms R]
-//                     [--slow-ms T] [--feature-cache-max N]
+//                     [--max-queue N] [--batch B] [--timeout-ms T]
+//                     [--reload-ms R] [--slow-ms T] [--feature-cache-max N]
 //   icnet_cli query   --port P [--host H] --select "12,57,101"
 //                     [--op predict|ping|profile|traces|stats|health|shutdown]
 //                     [--model M] [--circuit C] [--timeout-ms T]
@@ -74,7 +73,8 @@
 //
 // Parallelism, accepted by every subcommand:
 //   --jobs N              worker threads for the parallel loops (dataset
-//                         labeling, minibatch training, large mat-muls).
+//                         labeling, minibatch training, large mat-muls) and
+//                         the inference engine of serve and in-process search.
 //                         Equivalent to IC_JOBS=N for this invocation and
 //                         overrides it. Results are bit-identical at any N
 //                         (DESIGN.md §8); default is serial.
@@ -453,7 +453,6 @@ int cmd_search(const Args& a) {
     ic::serve::ModelRegistry registry;
     registry.load("default", a.positional[1]);
     ic::serve::EngineOptions engine_options;
-    engine_options.shards = std::stoul(opt(a, "shards", "1"));
     engine_options.max_batch = std::stoul(opt(a, "batch", "32"));
     ic::serve::InferenceEngine engine(registry, engine_options);
     engine.register_circuit("default", circuit);
@@ -482,7 +481,6 @@ int cmd_serve(const Args& a) {
   registry.load("default", a.positional[1]);
 
   ic::serve::EngineOptions engine_options;
-  engine_options.shards = std::stoul(opt(a, "shards", "1"));
   engine_options.max_queue = std::stoul(opt(a, "max-queue", "1024"));
   engine_options.max_batch = std::stoul(opt(a, "batch", "32"));
   engine_options.default_timeout_ms = std::stoll(opt(a, "timeout-ms", "-1"));
@@ -493,7 +491,7 @@ int cmd_serve(const Args& a) {
   engine.register_circuit("default", circuit);
 
   // {"op":"search"} support: the service scores candidates through the same
-  // engine the predict path uses (shared shard batchers and feature cache).
+  // engine the predict path uses (shared workers and feature cache).
   ic::search::SearchService search_service(engine);
   search_service.register_circuit("default", circuit);
 
@@ -501,7 +499,6 @@ int cmd_serve(const Args& a) {
   server_options.host = opt(a, "host", "127.0.0.1");
   server_options.port = std::stoi(opt(a, "port", "0"));
   server_options.reload_poll_ms = std::stoll(opt(a, "reload-ms", "1000"));
-  server_options.io_threads = std::stoul(opt(a, "io-threads", "2"));
   ic::serve::Server server(engine, registry, server_options);
   search_service.install(server);
   server.start();

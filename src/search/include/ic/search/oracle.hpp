@@ -1,13 +1,13 @@
 // Fitness oracles for obfuscation policy search (DESIGN.md §14).
 //
 // The searcher scores every neighbor candidate of a step in ONE
-// predict_log_batch() call, so the oracle can amortize feature extraction,
-// queueing, and micro-batching across the whole neighborhood instead of
-// paying per-candidate round trips. Three backends:
+// predict_log_batch() call, so the oracle can amortize feature extraction
+// and queueing across the whole neighborhood, and score it in parallel,
+// instead of paying per-candidate round trips. Three backends:
 //
 //   * EngineOracle    — in-process ic::serve::InferenceEngine via
 //                       predict_batch(): all requests enqueued before any
-//                       wait, so shard batchers coalesce them.
+//                       wait, so every engine worker takes a share.
 //   * ClientOracle    — remote server over the JSON-lines wire protocol via
 //                       Client::predict_batch(): all requests pipelined on
 //                       one connection before the first response is read.
@@ -16,7 +16,7 @@
 //
 // Results are index-aligned with the input and bit-identical however the
 // backend parallelizes (the §8 determinism contract), so the search itself
-// is reproducible at any jobs/shards setting. Every batch increments the
+// is reproducible at any jobs setting. Every batch increments the
 // global counters search.oracle_calls (by the batch size) and
 // search.oracle_batches (by one); batches < calls is the observable proof
 // that candidates were scored in bulk rather than one by one.

@@ -31,7 +31,7 @@
 // seeded by derive_seed of (options.seed, step/candidate index) — never from
 // shared state — and candidates are scored into index-aligned slots with
 // ties broken by lowest index. Oracle predictions are bit-identical at any
-// jobs/shards setting, and SAT-attack verification reports the deterministic
+// jobs setting, and SAT-attack verification reports the deterministic
 // effort-model seconds, so the whole SearchReport (and its JSON rendering)
 // is byte-identical however the work was parallelized or where it ran.
 #pragma once

@@ -12,7 +12,7 @@
 // actual netlist for neighborhoods and verification attacks; the engine only
 // exposes predictions), and scores candidates through an EngineOracle bound
 // to the same engine the predict path uses — so searches and client
-// predictions share the shard batchers, feature cache, and model registry.
+// predictions share the engine workers, feature cache, and model registry.
 //
 // options_from_wire() is the single WireSearchParams → SearchOptions
 // mapping; icnet_cli uses it for its in-process path too, which is what

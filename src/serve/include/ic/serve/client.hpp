@@ -64,7 +64,7 @@ class Client {
   /// "prometheus" to receive the full registry as exposition text in the
   /// response's "prometheus" field.
   WireResponse stats(const std::string& format = "");
-  /// Readiness probe ({"op":"health"}): ready, models, queue depth/capacity,
+  /// Readiness probe ({"op":"health"}): ready, models, queue depth/max_queue,
   /// uptime, build version.
   WireResponse health();
   /// Ask the server to drain and stop; returns its acknowledgement.

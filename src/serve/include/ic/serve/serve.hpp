@@ -1,6 +1,6 @@
 // Umbrella header for the serving layer (DESIGN.md §9): model registry with
-// hot-reload, feature cache, micro-batching inference engine, JSON-lines wire
-// protocol, and the TCP server/client pair.
+// hot-reload, feature cache, inference engine (one queue, `jobs` workers),
+// JSON-lines wire protocol, and the TCP server/client pair.
 #pragma once
 
 #include "ic/serve/client.hpp"

@@ -1,14 +1,13 @@
 // Event-driven TCP front-end for the inference engine (DESIGN.md §9, §13).
 //
 // Plain POSIX sockets, JSON-lines protocol (one JSON object per '\n'-framed
-// line, see wire.hpp), multiplexed with poll() readiness loops: a small fixed
-// set of I/O threads (ServerOptions::io_threads) each owns a subset of the
-// client sockets, with per-connection read/write buffers — no
-// thread-per-connection. Loop 0 additionally polls the listening socket
-// (accepted connections are handed out round-robin) and runs the model
-// hot-reload tick (ModelRegistry::poll_reload) on its poll timeout. Every
-// loop has a self-pipe so engine completion threads and shutdown() can wake
-// it immediately.
+// line, see wire.hpp), multiplexed with poll() readiness loops: two I/O
+// threads each own a subset of the client sockets, with per-connection
+// read/write buffers — no thread-per-connection. Loop 0 additionally polls
+// the listening socket (accepted connections are handed out round-robin)
+// and runs the model hot-reload tick (ModelRegistry::poll_reload) on its
+// poll timeout. Every loop has a self-pipe so engine completion threads and
+// shutdown() can wake it immediately.
 //
 // Request flow: a readable socket is drained into the connection's input
 // buffer and split into lines. A line may be at most 1 MiB: a connection
@@ -18,11 +17,13 @@
 // thread. Predict lines become an ordered
 // response slot on the connection plus InferenceEngine::submit_async() — the
 // I/O thread never blocks on inference. When the engine completes a request
-// (on a shard batcher thread), the completion callback fills its slot and
-// flushes the connection's ready-slot prefix, so pipelined responses always
-// leave in request order even when shards finish out of order. A short write
+// (on a worker thread), the completion callback fills its slot and flushes
+// the connection's ready-slot prefix, so pipelined responses always leave in
+// request order even when workers finish out of order. A short write
 // (EAGAIN) parks the remainder in the connection's output buffer and
-// registers POLLOUT interest with the owning loop via its self-pipe.
+// registers POLLOUT interest with the owning loop via its self-pipe. While a
+// connection owes more than 1 MiB of answers — unsent bytes plus ready
+// answers held behind an unanswered one — the server stops reading it.
 //
 // Graceful shutdown order:
 //   1. stop accepting (loop 0 drops the listener from its poll set),
@@ -33,17 +34,19 @@
 // A client can trigger this remotely with {"op":"shutdown"}.
 //
 // Admin ops (DESIGN.md §10): {"op":"stats"} answers a live metrics snapshot
-// (total + per-shard queue depth, request/error counters, p50/p99 latency,
-// uptime); {"op":"stats","format":"prometheus"} carries the full registry as
+// (queue depth, request/error counters, p50/p99 latency, uptime);
+// {"op":"stats","format":"prometheus"} carries the full registry as
 // Prometheus text in the "prometheus" field; {"op":"health"} answers
-// readiness — ready ⇔ at least one model is loaded and total queue depth is
-// below InferenceEngine::total_capacity(). Every response echoes the
+// readiness — ready ⇔ at least one model is loaded and the queue depth is
+// below InferenceEngine::max_queue(). Every response echoes the
 // client's request_id, or a server-assigned "s-<n>" (predict ops defer to
 // the engine's "r-<n>").
 //
 // Telemetry: counters serve.connections and serve.wire_errors (malformed or
 // over-long request lines), gauge serve.open_connections (RAII-maintained per
-// connection object, so it counts live sockets even on error unwinds).
+// connection object, so it counts live sockets even on error unwinds). The
+// server resolves these, and everything stats and health read, once in its
+// constructor.
 #pragma once
 
 #include <atomic>
@@ -67,14 +70,9 @@ struct WireRequest;
 struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = pick an ephemeral port (read back via port())
-  int backlog = 64;
   /// Loop-0 poll timeout; each expiry runs ModelRegistry::poll_reload().
   /// <= 0 disables hot-reload polling (poll blocks until an event).
   std::int64_t reload_poll_ms = 1000;
-  /// Readiness-loop threads multiplexing the client sockets. Clamped to
-  /// >= 1. Two is plenty until well past 10k connections — the loops only
-  /// shuffle bytes; inference runs on the engine shards.
-  std::size_t io_threads = 2;
 };
 
 class Server {
@@ -124,9 +122,12 @@ class Server {
   void shutdown();
 
  private:
-  struct Conn;    // per-connection state; defined in server.cpp
-  struct IoLoop;  // per-thread poll loop state; defined in server.cpp
+  struct Conn;          // per-connection state; defined in server.cpp
+  struct IoLoop;        // per-thread poll loop state; defined in server.cpp
+  struct ResponseSlot;  // one pipelined answer; defined in server.cpp
 
+  /// The answer to a line the server cannot act on; counts serve.wire_errors.
+  std::string wire_error(const std::string& message);
   void io_loop(std::size_t index);
   void accept_ready(IoLoop& loop);
   void read_conn(const std::shared_ptr<Conn>& conn);
@@ -135,6 +136,9 @@ class Server {
   /// Queue an already-complete answer and flush; `close_after` stops
   /// reading and closes the connection once it is sent.
   void reply_now(Conn& conn, std::string text, bool close_after = false);
+  /// Fill `slot` with its answer, count it as held until it reaches the
+  /// output buffer, and flush. Caller holds conn.mu.
+  void answer_locked(Conn& conn, ResponseSlot& slot, std::string text);
   /// Append the ready prefix of the slot queue to the output buffer and send
   /// as much as the socket accepts. Caller holds conn.mu.
   void flush_locked(Conn& conn);
@@ -144,6 +148,19 @@ class Server {
   InferenceEngine& engine_;
   ModelRegistry& registry_;
   ServerOptions options_;
+  // Instruments resolved once: no by-name lookups after construction.
+  telemetry::Counter& connections_;         // serve.connections
+  telemetry::Gauge& open_connections_;      // serve.open_connections
+  telemetry::Counter& wire_errors_;         // serve.wire_errors
+  telemetry::Counter& requests_;            // serve.requests
+  telemetry::Counter& rejected_;            // serve.rejected
+  telemetry::Counter& deadline_exceeded_;   // serve.deadline_exceeded
+  telemetry::Counter& errors_;              // serve.errors
+  telemetry::Counter& batches_;             // serve.batches
+  telemetry::Counter& slow_requests_;       // serve.slow_requests
+  telemetry::Counter& feature_cache_hits_;  // serve.feature_cache.hits
+  telemetry::Counter& feature_cache_misses_;  // serve.feature_cache.misses
+  telemetry::Histogram& request_seconds_;   // serve.request_seconds
   std::map<std::string, OpHandler> op_handlers_;  // set before start()
 
   int listen_fd_ = -1;

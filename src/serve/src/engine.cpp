@@ -7,25 +7,12 @@
 #include "ic/support/assert.hpp"
 #include "ic/support/log.hpp"
 #include "ic/support/metrics.hpp"
-#include "ic/support/progress.hpp"
+#include "ic/support/thread_pool.hpp"
 #include "ic/support/trace.hpp"
 
 namespace ic::serve {
 
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-// splitmix64 finalizer — a cheap full-avalanche mixer so that nearby gate
-// ids and fingerprints spread uniformly over shards.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* status_name(RequestStatus status) {
   switch (status) {
@@ -53,8 +40,9 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
       queue_depth_gauge_(
           telemetry::MetricsRegistry::global().gauge("serve.queue_depth")),
       request_seconds_(telemetry::MetricsRegistry::global().histogram(
-          "serve.request_seconds")) {
-  IC_CHECK(options_.shards >= 1, "EngineOptions::shards must be >= 1");
+          "serve.request_seconds")),
+      batch_size_(telemetry::MetricsRegistry::global().histogram(
+          "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {
   IC_CHECK(options_.max_queue >= 1, "EngineOptions::max_queue must be >= 1");
   IC_CHECK(options_.max_batch >= 1, "EngineOptions::max_batch must be >= 1");
   slow_request_ms_ = options_.slow_request_ms;
@@ -77,35 +65,17 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
       }
     }
   }
-  auto& metrics = telemetry::MetricsRegistry::global();
-  telemetry::TraceStore::Options trace_options;
-  trace_options.shards = options_.shards;
-  traces_ = std::make_unique<telemetry::TraceStore>(trace_options);
   for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
     const auto stage = static_cast<telemetry::Stage>(s);
-    stage_hist_[s] = &metrics.histogram(
+    stage_hist_[s] = &telemetry::MetricsRegistry::global().histogram(
         std::string("serve.stage.") + telemetry::stage_name(stage) +
         "_seconds");
   }
-  batch_size_hist_ = &metrics.histogram(
-      "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
-  shards_.reserve(options_.shards);
-  for (std::size_t k = 0; k < options_.shards; ++k) {
-    auto shard = std::make_unique<Shard>();
-    if (options_.jobs == 0) {
-      shard->pool = &support::ThreadPool::global();
-    } else {
-      shard->owned_pool = std::make_unique<support::ThreadPool>(
-          support::ThreadPool::effective_jobs(options_.jobs));
-      shard->pool = shard->owned_pool.get();
-    }
-    shard->depth_gauge =
-        &metrics.gauge("serve.shard" + std::to_string(k) + ".queue_depth");
-    shards_.push_back(std::move(shard));
-  }
-  // Threads only start once every shard slot exists — batchers index shards_.
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    shards_[k]->batcher = std::thread([this, k] { batcher_loop(k); });
+  progress_.set_watchdog(false);
+  options_.jobs = support::ThreadPool::effective_jobs(options_.jobs);
+  workers_.reserve(options_.jobs);
+  for (std::size_t k = 0; k < options_.jobs; ++k) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -121,89 +91,6 @@ void InferenceEngine::register_circuit(
   circuits_[name] = std::move(entry);
 }
 
-std::size_t InferenceEngine::shard_of(const PredictRequest& request) const {
-  if (shards_.size() == 1) return 0;
-  std::uint64_t fingerprint = 0;  // unknown circuits hash on the name's absence
-  {
-    std::lock_guard<std::mutex> lock(circuits_mu_);
-    const auto it = circuits_.find(request.circuit);
-    if (it != circuits_.end()) fingerprint = it->second.fingerprint;
-  }
-  // Fold the selection into the circuit fingerprint: identical
-  // (circuit, selection) queries stay shard-affine (their featurization is
-  // cached engine-wide anyway), while a policy search streaming many
-  // selections of ONE circuit fans out across every shard instead of
-  // pinning a single batcher.
-  std::uint64_t h = mix64(fingerprint);
-  for (const circuit::GateId id : request.selection) {
-    h = mix64(h ^ static_cast<std::uint64_t>(id));
-  }
-  return static_cast<std::size_t>(h % shards_.size());
-}
-
-void InferenceEngine::fulfill(Pending& pending, PredictResult result) {
-  if (pending.callback) {
-    pending.callback(std::move(result));
-  } else {
-    pending.promise.set_value(std::move(result));
-  }
-}
-
-void InferenceEngine::enqueue(std::unique_ptr<Pending> pending) {
-  const std::size_t index = shard_of(pending->request);
-  Shard& shard = *shards_[index];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.stopping) {
-      rejected_.add(1);
-      PredictResult rejected;
-      rejected.status = RequestStatus::Rejected;
-      rejected.error = "engine is shutting down";
-      rejected.request_id = pending->request.request_id;
-      fulfill(*pending, std::move(rejected));
-      return;
-    }
-    if (shard.queue.size() >= options_.max_queue) {
-      rejected_.add(1);
-      PredictResult rejected;
-      rejected.status = RequestStatus::Rejected;
-      rejected.error = "queue full (max_queue=" +
-                       std::to_string(options_.max_queue) + ")";
-      rejected.request_id = pending->request.request_id;
-      fulfill(*pending, std::move(rejected));
-      return;
-    }
-    pending->request.timeline.mark(telemetry::Stage::Route);
-    shard.queue.push_back(std::move(pending));
-    requests_.add(1);
-    const std::size_t total =
-        total_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_gauge_.set(static_cast<double>(total));
-    shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
-  }
-  shard.work_cv.notify_one();
-}
-
-std::future<PredictResult> InferenceEngine::submit(PredictRequest request) {
-  const auto now = Clock::now();
-  const std::int64_t timeout_ms =
-      request.timeout_ms >= 0 ? request.timeout_ms : options_.default_timeout_ms;
-  if (request.request_id.empty()) {
-    request.request_id =
-        "r-" + std::to_string(next_request_id_.fetch_add(1,
-                                  std::memory_order_relaxed) + 1);
-  }
-  auto pending = std::make_unique<Pending>();
-  pending->request = std::move(request);
-  pending->enqueued = now;
-  pending->deadline = timeout_ms >= 0
-                          ? now + std::chrono::milliseconds(timeout_ms)
-                          : Clock::time_point::max();
-  auto future = pending->promise.get_future();
-  enqueue(std::move(pending));
-  return future;
-}
-
 void InferenceEngine::submit_async(PredictRequest request, Callback done) {
   IC_CHECK(done != nullptr, "submit_async needs a completion callback");
   const auto now = Clock::now();
@@ -216,12 +103,45 @@ void InferenceEngine::submit_async(PredictRequest request, Callback done) {
   }
   auto pending = std::make_unique<Pending>();
   pending->request = std::move(request);
-  pending->callback = std::move(done);
+  pending->done = std::move(done);
   pending->enqueued = now;
   pending->deadline = timeout_ms >= 0
                           ? now + std::chrono::milliseconds(timeout_ms)
                           : Clock::time_point::max();
-  enqueue(std::move(pending));
+  std::string why;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) {
+      why = "engine is shutting down";
+    } else if (queue_.size() >= options_.max_queue) {
+      why = "queue full (max_queue=" + std::to_string(options_.max_queue) + ")";
+    } else {
+      pending->request.timeline.mark(telemetry::Stage::Route);
+      queue_.push_back(std::move(pending));
+      requests_.add(1);
+      queue_depth_gauge_.set(static_cast<double>(queue_.size()));
+    }
+  }
+  if (pending == nullptr) {
+    work_cv_.notify_one();
+    return;
+  }
+  // Rejected up front: answer on this thread, outside the lock.
+  rejected_.add(1);
+  PredictResult rejected;
+  rejected.status = RequestStatus::Rejected;
+  rejected.error = std::move(why);
+  rejected.request_id = pending->request.request_id;
+  pending->done(std::move(rejected));
+}
+
+std::future<PredictResult> InferenceEngine::submit(PredictRequest request) {
+  auto promise = std::make_shared<std::promise<PredictResult>>();
+  auto future = promise->get_future();
+  submit_async(std::move(request), [promise](PredictResult result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
 }
 
 PredictResult InferenceEngine::predict(PredictRequest request) {
@@ -230,13 +150,29 @@ PredictResult InferenceEngine::predict(PredictRequest request) {
 
 std::vector<PredictResult> InferenceEngine::predict_batch(
     std::vector<PredictRequest> requests) {
-  std::vector<std::future<PredictResult>> futures;
-  futures.reserve(requests.size());
-  for (auto& request : requests) futures.push_back(submit(std::move(request)));
-  std::vector<PredictResult> results;
-  results.reserve(futures.size());
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
+  // One wake-up for the whole batch: each callback fills its own slot, and
+  // the last one to finish completes `done`. Waiting on a future per request
+  // would put the caller to sleep once per answer.
+  struct Batch {
+    std::vector<PredictResult> results;
+    std::atomic<std::size_t> left;
+    std::promise<void> done;
+  };
+  if (requests.empty()) return {};
+  auto batch = std::make_shared<Batch>();
+  batch->results.resize(requests.size());
+  batch->left = requests.size();
+  auto done = batch->done.get_future();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    submit_async(std::move(requests[i]), [batch, i](PredictResult result) {
+      batch->results[i] = std::move(result);
+      if (batch->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        batch->done.set_value();
+      }
+    });
+  }
+  done.wait();
+  return std::move(batch->results);
 }
 
 PredictResult InferenceEngine::process(Pending& pending) {
@@ -341,7 +277,6 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
 }
 
 void InferenceEngine::finish_timeline(Pending& pending,
-                                      std::size_t shard_index,
                                       double total_seconds) {
   telemetry::Timeline& timeline = pending.request.timeline;
   timeline.mark(telemetry::Stage::Respond);
@@ -354,128 +289,93 @@ void InferenceEngine::finish_timeline(Pending& pending,
   record.timeline = timeline;
   record.request_id = pending.request.request_id;
   record.fingerprint = pending.fingerprint;
-  record.shard = static_cast<std::uint32_t>(shard_index);
   record.batch_size = pending.batch_size;
   record.total_seconds = total_seconds;
-  traces_->record(shard_index, std::move(record));
+  traces_.record(std::move(record));
 }
 
-void InferenceEngine::batcher_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  // Heartbeat slot per shard batcher: requests served + live queue depth. A
-  // batcher idles legitimately between requests, so the stall watchdog is off.
-  const std::string progress_name =
-      shards_.size() == 1 ? std::string("serve.batcher")
-                          : "serve.batcher." + std::to_string(shard_index);
-  telemetry::ProgressJob progress(progress_name.c_str());
-  progress.set_watchdog(false);
-  std::uint64_t served = 0, batches = 0;
+void InferenceEngine::worker_loop() {
   for (;;) {
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::vector<std::unique_ptr<Pending>> popped;
+    std::size_t left = 0;
     {
-      std::unique_lock<std::mutex> lock(shard.mu);
-      shard.work_cv.wait(lock, [&shard] {
-        return (!shard.paused && !shard.queue.empty()) ||
-               (shard.stopping && shard.queue.empty());
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] {
+        return (!paused_ && !queue_.empty()) || (stopping_ && queue_.empty());
       });
-      if (shard.stopping && shard.queue.empty()) return;
-      const std::size_t n = std::min(options_.max_batch, shard.queue.size());
-      batch.reserve(n);
+      if (queue_.empty()) return;  // stopping, and everything is answered
+      // A fair share, so a burst spreads over every worker instead of
+      // filling one pop while the others idle.
+      const std::size_t share =
+          (queue_.size() + options_.jobs - 1) / options_.jobs;
+      const std::size_t n = std::min(options_.max_batch, share);
+      popped.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        shard.queue.front()->request.timeline.mark(telemetry::Stage::Queue);
-        shard.queue.front()->batch_size = static_cast<std::uint32_t>(n);
-        batch.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
+        queue_.front()->request.timeline.mark(telemetry::Stage::Queue);
+        queue_.front()->batch_size = static_cast<std::uint32_t>(n);
+        popped.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
-      shard.in_flight = n;
-      const std::size_t total =
-          total_depth_.fetch_sub(n, std::memory_order_relaxed) - n;
-      queue_depth_gauge_.set(static_cast<double>(total));
-      shard.depth_gauge->set(static_cast<double>(shard.queue.size()));
+      in_flight_ += n;
+      left = queue_.size();
+      queue_depth_gauge_.set(static_cast<double>(left));
     }
-
+    if (left > 0) work_cv_.notify_one();
+    batches_.add(1);
+    batch_size_.observe(static_cast<double>(popped.size()));
     {
       telemetry::TraceSpan span("serve/batch");
-      std::vector<PredictResult> results(batch.size());
-      // Indexed result slots over the one shared const model: the
-      // determinism contract (DESIGN.md §8). Each slot is written by exactly
-      // one task; fulfillment below happens on this thread in index order.
-      shard.pool->parallel_for(0, batch.size(), [&](std::size_t i) {
-        results[i] = process(*batch[i]);
-      });
-      batches_.add(1);
-      batch_size_hist_->observe(static_cast<double>(batch.size()));
-      const auto done = Clock::now();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
+      for (auto& pending : popped) {
+        PredictResult result = process(*pending);
         const double total =
-            std::chrono::duration<double>(done - batch[i]->enqueued).count();
+            std::chrono::duration<double>(Clock::now() - pending->enqueued)
+                .count();
         request_seconds_.observe(total);
-        finish_timeline(*batch[i], shard_index, total);
-        fulfill(*batch[i], std::move(results[i]));
+        finish_timeline(*pending, total);
+        pending->done(std::move(result));
       }
-      served += batch.size();
-      ++batches;
-      progress.tick(served);
-      progress.set_counters("batches", batches, "queue_depth",
-                            queue_depth(shard_index));
     }
-
+    progress_.advance(popped.size());
+    progress_.set_counters("queue_depth", left);
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.in_flight = 0;
-      if (shard.queue.empty()) shard.drained_cv.notify_all();
+      std::lock_guard<std::mutex> lock(mu_);
+      in_flight_ -= popped.size();
+      if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
     }
   }
 }
 
 void InferenceEngine::drain() {
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mu);
-    IC_CHECK(!shard->paused || shard->queue.empty(),
-             "drain() would never finish while the engine is paused");
-    shard->drained_cv.wait(lock, [&shard] {
-      return shard->queue.empty() && shard->in_flight == 0;
-    });
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  IC_CHECK(!paused_ || queue_.empty(),
+           "drain() would never finish while the engine is paused");
+  drained_cv_.wait(lock,
+                   [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void InferenceEngine::stop() {
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->stopping = true;
-      shard->paused = false;
-    }
-    shard->work_cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    paused_ = false;
   }
-  for (auto& shard : shards_) {
-    if (shard->batcher.joinable()) shard->batcher.join();
+  work_cv_.notify_all();
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
   }
 }
 
 std::size_t InferenceEngine::queue_depth() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->queue.size();
-  }
-  return total;
-}
-
-std::size_t InferenceEngine::queue_depth(std::size_t shard) const {
-  IC_ASSERT(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->queue.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 void InferenceEngine::set_paused(bool paused) {
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->paused = paused;
-    }
-    shard->work_cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    paused_ = paused;
   }
+  work_cv_.notify_all();
 }
 
 }  // namespace ic::serve

@@ -42,15 +42,13 @@ void set_nonblocking(int fd) {
            "fcntl(O_NONBLOCK) failed: " << std::strerror(errno));
 }
 
-// One response in a connection's pipeline. Created in request order; `text`
-// is filled when the answer exists (instantly for admin ops, from the engine
-// completion callback for predicts). The flush only ever drains the ready
-// prefix, so responses leave in request order even when engine shards finish
-// out of order.
-struct ResponseSlot {
-  bool ready = false;
-  std::string text;  ///< one JSON object, no trailing newline
-};
+/// Readiness-loop threads multiplexing the client sockets. Two is plenty
+/// until well past 10k connections — the loops only shuffle bytes; inference
+/// runs on the engine's workers.
+constexpr std::size_t kIoThreads = 2;
+
+/// listen(2) backlog.
+constexpr int kBacklog = 64;
 
 /// Longest request line a connection may send, newline excluded. A predict
 /// naming every gate of a 100k-gate circuit is about 0.7 MB; past this the
@@ -59,22 +57,24 @@ struct ResponseSlot {
 constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Most answer bytes a connection may owe before the server stops reading
-/// from it. A peer that pipelines requests and never reads would otherwise
-/// make the server hold every answer it owes; past this its requests wait
-/// in the socket, and reading resumes once the peer drains its answers.
+/// from it: unsent output plus ready answers held behind an unanswered one.
+/// A peer that pipelines requests and never reads — or that parks a slow
+/// search ahead of them — would otherwise make the server hold every answer
+/// it owes; past this its requests wait in the socket, and reading resumes
+/// once the peer drains its answers.
 constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
 
-/// The answer to a line the server cannot act on; counts serve.wire_errors.
-std::string wire_error(const std::string& message) {
-  telemetry::MetricsRegistry::global().counter("serve.wire_errors").add(1);
-  JsonValue resp = JsonValue::object();
-  resp.set("ok", JsonValue::boolean(false));
-  resp.set("status", JsonValue::string("error"));
-  resp.set("error", JsonValue::string(message));
-  return resp.dump();
-}
-
 }  // namespace
+
+// One response in a connection's pipeline. Created in request order; `text`
+// is filled when the answer exists (instantly for admin ops, from the engine
+// completion callback for predicts). The flush only ever drains the ready
+// prefix, so responses leave in request order even when engine workers
+// finish out of order.
+struct Server::ResponseSlot {
+  bool ready = false;
+  std::string text;  ///< one JSON object, no trailing newline
+};
 
 // Per-connection state. `fd` is opened by the accept path and closed only by
 // the owning I/O loop; `inbuf` is touched only by that loop. Everything
@@ -92,7 +92,8 @@ struct Server::Conn {
 
   std::mutex mu;
   std::deque<std::shared_ptr<ResponseSlot>> slots;  ///< pipeline, in order
-  std::string outbuf;  ///< bytes the socket did not accept yet
+  std::string outbuf;    ///< bytes the socket did not accept yet
+  std::size_t held = 0;  ///< bytes of ready slots not yet in outbuf
   bool want_pollout = false;
   bool eof = false;      ///< read side done; close once flushed
   bool closing = false;  ///< stop reading; close once flushed
@@ -112,9 +113,40 @@ struct Server::IoLoop {
 
 Server::Server(InferenceEngine& engine, ModelRegistry& registry,
                ServerOptions options)
-    : engine_(engine), registry_(registry), options_(std::move(options)) {}
+    : engine_(engine),
+      registry_(registry),
+      options_(std::move(options)),
+      connections_(
+          telemetry::MetricsRegistry::global().counter("serve.connections")),
+      open_connections_(
+          telemetry::MetricsRegistry::global().gauge("serve.open_connections")),
+      wire_errors_(
+          telemetry::MetricsRegistry::global().counter("serve.wire_errors")),
+      requests_(telemetry::MetricsRegistry::global().counter("serve.requests")),
+      rejected_(telemetry::MetricsRegistry::global().counter("serve.rejected")),
+      deadline_exceeded_(telemetry::MetricsRegistry::global().counter(
+          "serve.deadline_exceeded")),
+      errors_(telemetry::MetricsRegistry::global().counter("serve.errors")),
+      batches_(telemetry::MetricsRegistry::global().counter("serve.batches")),
+      slow_requests_(
+          telemetry::MetricsRegistry::global().counter("serve.slow_requests")),
+      feature_cache_hits_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.hits")),
+      feature_cache_misses_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.misses")),
+      request_seconds_(telemetry::MetricsRegistry::global().histogram(
+          "serve.request_seconds")) {}
 
 Server::~Server() { shutdown(); }
+
+std::string Server::wire_error(const std::string& message) {
+  wire_errors_.add(1);
+  JsonValue resp = JsonValue::object();
+  resp.set("ok", JsonValue::boolean(false));
+  resp.set("status", JsonValue::string("error"));
+  resp.set("error", JsonValue::string(message));
+  return resp.dump();
+}
 
 void Server::register_op(const std::string& op, OpHandler handler) {
   IC_CHECK(!running_.load(), "register_op must be called before start()");
@@ -146,7 +178,7 @@ void Server::start() {
     ic::input_error("cannot bind " + options_.host + ":" +
                     std::to_string(options_.port) + ": " + why);
   }
-  IC_CHECK(::listen(listen_fd_, options_.backlog) == 0,
+  IC_CHECK(::listen(listen_fd_, kBacklog) == 0,
            "listen() failed: " << std::strerror(errno));
   set_nonblocking(listen_fd_);
 
@@ -158,10 +190,8 @@ void Server::start() {
       "getsockname() failed: " << std::strerror(errno));
   port_ = ntohs(bound.sin_port);
 
-  const std::size_t io_threads =
-      options_.io_threads >= 1 ? options_.io_threads : 1;
   loops_.clear();
-  for (std::size_t i = 0; i < io_threads; ++i) {
+  for (std::size_t i = 0; i < kIoThreads; ++i) {
     auto loop = std::make_unique<IoLoop>();
     IC_CHECK(::pipe(loop->wake) == 0,
              "pipe() failed: " << std::strerror(errno));
@@ -178,9 +208,7 @@ void Server::start() {
   for (std::size_t i = 0; i < loops_.size(); ++i) {
     loops_[i]->thread = std::thread([this, i] { io_loop(i); });
   }
-  ICLOG(info) << "serve: listening on " << options_.host << ":" << port_
-              << telemetry::kv("io_threads", loops_.size())
-              << telemetry::kv("shards", engine_.shard_count());
+  ICLOG(info) << "serve: listening on " << options_.host << ":" << port_;
 }
 
 void Server::request_shutdown() {
@@ -279,7 +307,7 @@ void Server::io_loop(std::size_t index) {
       std::lock_guard<std::mutex> lock(conn->mu);
       short events = 0;
       if (!conn->eof && !conn->closing &&
-          conn->outbuf.size() <= kMaxUnsentBytes) {
+          conn->outbuf.size() + conn->held <= kMaxUnsentBytes) {
         events |= POLLIN;
       }
       if (conn->want_pollout) events |= POLLOUT;
@@ -336,7 +364,6 @@ void Server::io_loop(std::size_t index) {
 }
 
 void Server::accept_ready(IoLoop& loop) {
-  auto& metrics = telemetry::MetricsRegistry::global();
   for (;;) {
     const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
     if (client_fd < 0) {
@@ -346,9 +373,8 @@ void Server::accept_ready(IoLoop& loop) {
       return;
     }
     set_nonblocking(client_fd);
-    metrics.counter("serve.connections").add(1);
-    auto conn =
-        std::make_shared<Conn>(metrics.gauge("serve.open_connections"));
+    connections_.add(1);
+    auto conn = std::make_shared<Conn>(open_connections_);
     conn->fd = client_fd;
     const std::size_t target_index =
         next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
@@ -444,7 +470,7 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
   if (req.op == "predict") {
     // Reserve the connection's next pipeline position, then hand the request
     // to the engine without blocking this I/O thread. The completion callback
-    // fills the slot (possibly out of order across shards) and the
+    // fills the slot (possibly out of order across workers) and the
     // ready-prefix flush restores wire order. submit_async is called OUTSIDE
     // conn->mu: a rejected request invokes the callback inline on this
     // thread, and the callback takes the lock.
@@ -483,9 +509,7 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
           }
           resp.set("request_id", JsonValue::string(result.request_id));
           std::lock_guard<std::mutex> lock(c->mu);
-          slot->text = resp.dump();
-          slot->ready = true;
-          flush_locked(*c);
+          answer_locked(*c, *slot, resp.dump());
         });
     return;
   }
@@ -506,9 +530,7 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
     std::shared_ptr<Conn> c = conn;
     handler->second(request, [this, c, slot](std::string text) {
       std::lock_guard<std::mutex> lock(c->mu);
-      slot->text = std::move(text);
-      slot->ready = true;
-      flush_locked(*c);
+      answer_locked(*c, *slot, std::move(text));
     });
     return;
   }
@@ -533,16 +555,22 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
 
 void Server::reply_now(Conn& conn, std::string text, bool close_after) {
   auto slot = std::make_shared<ResponseSlot>();
-  slot->ready = true;
-  slot->text = std::move(text);
   std::lock_guard<std::mutex> lock(conn.mu);
-  conn.slots.push_back(std::move(slot));
+  conn.slots.push_back(slot);
   if (close_after) conn.closing = true;
+  answer_locked(conn, *slot, std::move(text));
+}
+
+void Server::answer_locked(Conn& conn, ResponseSlot& slot, std::string text) {
+  conn.held += text.size() + 1;
+  slot.text = std::move(text);
+  slot.ready = true;
   flush_locked(conn);
 }
 
 void Server::flush_locked(Conn& conn) {
   while (!conn.slots.empty() && conn.slots.front()->ready) {
+    conn.held -= conn.slots.front()->text.size() + 1;
     conn.outbuf += conn.slots.front()->text;
     conn.outbuf += '\n';
     conn.slots.pop_front();
@@ -567,6 +595,7 @@ void Server::flush_locked(Conn& conn) {
     conn.closing = true;
     conn.outbuf.clear();
     conn.slots.clear();
+    conn.held = 0;
     wake_loop(conn.loop);
     return;
   }
@@ -607,11 +636,9 @@ std::string Server::handle_admin(const WireRequest& req,
     if (req.op == "ping") {
       resp.set("ok", JsonValue::boolean(true));
     } else if (req.op == "health") {
-      auto& metrics = telemetry::MetricsRegistry::global();
       const telemetry::ProcessStats proc = telemetry::sample_process_stats();
       const std::size_t depth = engine_.queue_depth();
-      const std::size_t capacity = engine_.total_capacity();
-      const bool ready = registry_.size() > 0 && depth < capacity;
+      const bool ready = registry_.size() > 0 && depth < engine_.max_queue();
       resp.set("ok", JsonValue::boolean(true));
       resp.set("ready", JsonValue::boolean(ready));
       resp.set("status", JsonValue::string(ready ? "ready" : "unavailable"));
@@ -623,17 +650,12 @@ std::string Server::handle_admin(const WireRequest& req,
       resp.set("queue_depth", JsonValue::number(static_cast<double>(depth)));
       resp.set("max_queue",
                JsonValue::number(static_cast<double>(engine_.max_queue())));
-      resp.set("shards",
-               JsonValue::number(static_cast<double>(engine_.shard_count())));
-      resp.set("capacity", JsonValue::number(static_cast<double>(capacity)));
       resp.set("uptime_seconds", JsonValue::number(uptime_seconds()));
       resp.set("version", JsonValue::string(ICNET_VERSION));
       resp.set("open_connections",
-               JsonValue::number(
-                   metrics.gauge("serve.open_connections").value()));
+               JsonValue::number(open_connections_.value()));
       if (proc.ok) resp.set("rss_bytes", JsonValue::number(proc.rss_bytes));
     } else if (req.op == "stats") {
-      auto& metrics = telemetry::MetricsRegistry::global();
       // Refresh the process.* gauges so both formats report current values.
       const telemetry::ProcessStats proc = telemetry::sample_process_stats();
       resp.set("ok", JsonValue::boolean(true));
@@ -641,47 +663,30 @@ std::string Server::handle_admin(const WireRequest& req,
         // The JSON-lines framing cannot carry raw multi-line exposition
         // text, so the full registry rides in one string field; clients
         // (icnet_cli stats --format prometheus) print it verbatim.
-        resp.set("prometheus", JsonValue::string(metrics.to_prometheus()));
+        resp.set("prometheus", JsonValue::string(
+                                   telemetry::MetricsRegistry::global()
+                                       .to_prometheus()));
       } else {
+        const auto count = [](const telemetry::Counter& counter) {
+          return JsonValue::number(static_cast<double>(counter.value()));
+        };
         resp.set("queue_depth",
                  JsonValue::number(static_cast<double>(engine_.queue_depth())));
-        resp.set("shards", JsonValue::number(
-                               static_cast<double>(engine_.shard_count())));
-        JsonValue shard_depths = JsonValue::array();
-        for (std::size_t k = 0; k < engine_.shard_count(); ++k) {
-          shard_depths.push_back(JsonValue::number(
-              static_cast<double>(engine_.queue_depth(k))));
-        }
-        resp.set("shard_queue_depths", std::move(shard_depths));
         JsonValue models = JsonValue::array();
         for (const auto& name : registry_.names()) {
           models.push_back(JsonValue::string(name));
         }
         resp.set("models", std::move(models));
         resp.set("uptime_seconds", JsonValue::number(uptime_seconds()));
-        resp.set("requests", JsonValue::number(static_cast<double>(
-                                 metrics.counter("serve.requests").value())));
-        resp.set("rejected", JsonValue::number(static_cast<double>(
-                                 metrics.counter("serve.rejected").value())));
-        resp.set("deadline_exceeded",
-                 JsonValue::number(static_cast<double>(
-                     metrics.counter("serve.deadline_exceeded").value())));
-        resp.set("errors", JsonValue::number(static_cast<double>(
-                               metrics.counter("serve.errors").value())));
-        resp.set("batches", JsonValue::number(static_cast<double>(
-                                metrics.counter("serve.batches").value())));
-        resp.set("slow_requests",
-                 JsonValue::number(static_cast<double>(
-                     metrics.counter("serve.slow_requests").value())));
-        resp.set("wire_errors",
-                 JsonValue::number(static_cast<double>(
-                     metrics.counter("serve.wire_errors").value())));
-        resp.set("feature_cache_hits",
-                 JsonValue::number(static_cast<double>(
-                     metrics.counter("serve.feature_cache.hits").value())));
-        resp.set("feature_cache_misses",
-                 JsonValue::number(static_cast<double>(
-                     metrics.counter("serve.feature_cache.misses").value())));
+        resp.set("requests", count(requests_));
+        resp.set("rejected", count(rejected_));
+        resp.set("deadline_exceeded", count(deadline_exceeded_));
+        resp.set("errors", count(errors_));
+        resp.set("batches", count(batches_));
+        resp.set("slow_requests", count(slow_requests_));
+        resp.set("wire_errors", count(wire_errors_));
+        resp.set("feature_cache_hits", count(feature_cache_hits_));
+        resp.set("feature_cache_misses", count(feature_cache_misses_));
         if (proc.ok) {
           resp.set("process_rss_bytes", JsonValue::number(proc.rss_bytes));
           resp.set("process_cpu_seconds",
@@ -690,14 +695,13 @@ std::string Server::handle_admin(const WireRequest& req,
           resp.set("process_threads", JsonValue::number(proc.threads));
           resp.set("process_open_fds", JsonValue::number(proc.open_fds));
         }
-        const auto& latency = metrics.histogram("serve.request_seconds");
         // Quantiles of an empty histogram are undefined, not 0.0: omit them
         // until the first request so dashboards don't plot a fake zero.
-        if (latency.count() > 0) {
+        if (request_seconds_.count() > 0) {
           resp.set("p50_latency_seconds",
-                   JsonValue::number(latency.quantile(0.5)));
+                   JsonValue::number(request_seconds_.quantile(0.5)));
           resp.set("p99_latency_seconds",
-                   JsonValue::number(latency.quantile(0.99)));
+                   JsonValue::number(request_seconds_.quantile(0.99)));
         }
       }
     } else if (req.op == "profile") {
@@ -742,8 +746,6 @@ std::string Server::handle_admin(const WireRequest& req,
         std::snprintf(fp, sizeof(fp), "0x%016llx",
                       static_cast<unsigned long long>(record.fingerprint));
         entry.set("fingerprint", JsonValue::string(fp));
-        entry.set("shard",
-                  JsonValue::number(static_cast<double>(record.shard)));
         entry.set("batch_size",
                   JsonValue::number(static_cast<double>(record.batch_size)));
         entry.set("total_seconds", JsonValue::number(record.total_seconds));

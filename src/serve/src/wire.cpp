@@ -86,6 +86,11 @@ void JsonValue::push_back(JsonValue value) {
 
 namespace {
 
+/// Deepest array/object nesting the parser accepts. Valid requests nest 2
+/// levels and search reports 5; the limit keeps a line of brackets from
+/// recursing the parsing thread off its stack.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -131,8 +136,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue::string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -270,6 +282,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 void dump_number(std::ostream& os, double v) {
@@ -328,9 +341,20 @@ std::string JsonValue::dump() const {
 
 namespace {
 
+/// Largest magnitude up to which every integer is an exact double.
+constexpr double kMaxExact = 9.007199254740992e15;
+
+/// A JSON number bound for an integer field. A value the field's type cannot
+/// hold is an input error here, not undefined behaviour at the cast.
+double in_range(const JsonValue& v, const char* field, double lo) {
+  const double x = v.as_number();
+  IC_CHECK(x >= lo && x <= kMaxExact, "field '" << field << "' out of range");
+  return x;
+}
+
 std::uint64_t as_count(const JsonValue& v, const char* field) {
   const double x = v.as_number();
-  IC_CHECK(x >= 0 && x == std::floor(x) && x <= 9.007199254740992e15,
+  IC_CHECK(x >= 0 && x == std::floor(x) && x <= kMaxExact,
            "search field '" << field << "' must be a non-negative integer");
   return static_cast<std::uint64_t>(x);
 }
@@ -414,10 +438,11 @@ WireRequest parse_request(const std::string& line) {
     }
   }
   if (const JsonValue* timeout = doc.find("timeout_ms")) {
-    req.timeout_ms = static_cast<std::int64_t>(timeout->as_number());
+    req.timeout_ms = static_cast<std::int64_t>(
+        in_range(*timeout, "timeout_ms", -kMaxExact));
   }
   if (const JsonValue* id = doc.find("id")) {
-    req.id = static_cast<std::uint64_t>(id->as_number());
+    req.id = static_cast<std::uint64_t>(in_range(*id, "id", 0));
     req.has_id = true;
   }
   if (const JsonValue* rid = doc.find("request_id")) {
@@ -437,8 +462,7 @@ WireRequest parse_request(const std::string& line) {
     IC_CHECK(req.seconds >= 0, "seconds must be non-negative");
   }
   if (const JsonValue* hz = doc.find("hz")) {
-    req.hz = static_cast<std::int64_t>(hz->as_number());
-    IC_CHECK(req.hz >= 0, "hz must be non-negative");
+    req.hz = static_cast<std::int64_t>(in_range(*hz, "hz", 0));
   }
   if (req.op == "predict") {
     IC_CHECK(!req.select.empty(), "predict needs a non-empty select array");
@@ -515,10 +539,11 @@ WireResponse parse_response(const std::string& line) {
   }
   if (const JsonValue* v = resp.raw.find("seconds")) resp.seconds = v->as_number();
   if (const JsonValue* v = resp.raw.find("model_version")) {
-    resp.model_version = static_cast<std::uint64_t>(v->as_number());
+    resp.model_version =
+        static_cast<std::uint64_t>(in_range(*v, "model_version", 0));
   }
   if (const JsonValue* v = resp.raw.find("id")) {
-    resp.id = static_cast<std::uint64_t>(v->as_number());
+    resp.id = static_cast<std::uint64_t>(in_range(*v, "id", 0));
     resp.has_id = true;
   }
   if (const JsonValue* v = resp.raw.find("request_id")) {

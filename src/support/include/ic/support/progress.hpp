@@ -9,7 +9,7 @@
 //   * ProgressJob — RAII registration of one slot. sat_attack registers one
 //     per attack (ticked per DIP with solver conflict/propagation counters),
 //     dataset labeling one per generate_dataset (instance N/M), train_gnn one
-//     per fit (epoch N/M), and the serve batcher one for its lifetime.
+//     per fit (epoch N/M), and the serve engine one for its lifetime.
 //   * Heartbeat — a background thread that every interval emits one
 //     structured heartbeat log line per active job (progress, rate, ETA,
 //     predicted-vs-elapsed), samples /proc/self into process.* gauges of the
@@ -74,7 +74,7 @@ class ProgressBoard {
     std::int64_t started_us = 0;
     std::int64_t last_tick_us = 0;
     std::uint64_t generation = 0;  ///< unique per registration
-    bool watchdog = true;          ///< false = idle-is-normal (serve batcher)
+    bool watchdog = true;          ///< false = idle-is-normal (serve engine)
   };
 
   static ProgressBoard& global();
@@ -140,7 +140,7 @@ class ProgressJob {
   /// heartbeat as predicted-vs-elapsed ETA.
   void set_predicted_seconds(double seconds);
   /// Exempt this job from the stall watchdog (event-driven jobs idle
-  /// legitimately; the serve batcher sets false).
+  /// legitimately; the serve engine sets false).
   void set_watchdog(bool enabled);
 
   bool registered() const { return slot_ != nullptr; }

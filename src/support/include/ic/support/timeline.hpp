@@ -11,9 +11,9 @@
 // Chebyshev order per layer); durations accumulate, timestamps keep the last
 // mark.
 //
-// Completed timelines land in a TraceStore: a per-shard tail-sampling store
-// keeping the K slowest requests plus a 1-in-N uniform sample, queryable on
-// a live server via {"op":"traces"}.
+// Completed timelines land in a TraceStore: a tail-sampling store keeping
+// the K slowest requests plus a 1-in-N uniform sample, queryable on a live
+// server via {"op":"traces"}.
 #pragma once
 
 #include <array>
@@ -27,9 +27,9 @@ namespace ic::telemetry {
 enum class Stage : int {
   Accept = 0,     // bytes for the request line fully read off the socket
   Parse,          // wire JSON parsed into a request struct
-  Route,          // shard chosen, request enqueued
-  Queue,          // popped from the shard queue by the batcher
-  BatchAdmit,     // admitted into a micro-batch, compute starting
+  Route,          // request admitted to the engine queue
+  Queue,          // popped from the queue by a worker
+  BatchAdmit,     // the worker starts computing it
   FeatureBuild,   // circuit features resolved (cache hit or rebuild)
   Spmm,           // sparse structure-operator products (accumulates)
   Dense,          // Chebyshev combination + dense layers (accumulates)
@@ -93,45 +93,38 @@ struct TraceRecord {
   Timeline timeline;
   std::string request_id;
   std::uint64_t fingerprint = 0;
-  std::uint32_t shard = 0;
   std::uint32_t batch_size = 0;
   double total_seconds = 0.0;
 };
 
-/// Tail-sampling store: per shard, keep the K slowest requests (by
-/// total_seconds) plus every N-th request in a uniform ring, so both the
-/// pathological tail and the typical request shape stay queryable. Append is
-/// a short per-shard critical section — off the wire loop, once per request.
+/// Tail-sampling store: keep the K slowest requests (by total_seconds) plus
+/// every N-th request in a uniform ring, so both the pathological tail and
+/// the typical request shape stay queryable. Append is a short critical
+/// section — off the wire loop, once per request.
 class TraceStore {
  public:
   struct Options {
-    std::size_t shards = 1;
-    std::size_t slowest_per_shard = 8;
-    std::size_t ring_per_shard = 32;
+    std::size_t slowest = 8;        // K: the slowest requests kept
+    std::size_t ring = 32;          // uniform-sample ring size
     std::size_t sample_every = 16;  // 1-in-N uniform sampling rate
   };
 
   explicit TraceStore(const Options& options);
 
-  void record(std::size_t shard, TraceRecord record);
+  void record(TraceRecord record);
 
-  /// All retained records (slowest first, then ring order), across shards.
+  /// All retained records: slowest first, then ring order.
   std::vector<TraceRecord> snapshot() const;
 
   std::uint64_t recorded() const;  ///< total records offered (not retained)
-  std::size_t shards() const { return shards_.size(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<TraceRecord> slowest;  // kept sorted, smallest total first
-    std::vector<TraceRecord> ring;
-    std::size_t ring_next = 0;
-    std::uint64_t seen = 0;
-  };
-
   Options options_;
-  std::vector<Shard> shards_;
+  mutable std::mutex mu_;
+  std::vector<TraceRecord> slowest_;  // kept sorted, smallest total first
+  std::vector<TraceRecord> ring_;
+  std::size_t ring_next_ = 0;
+  std::uint64_t seen_ = 0;
 };
 
 }  // namespace ic::telemetry

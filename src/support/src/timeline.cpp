@@ -62,58 +62,47 @@ void mark_stage(Stage stage) {
   if (timeline != nullptr) timeline->mark(stage);
 }
 
-TraceStore::TraceStore(const Options& options)
-    : options_(options), shards_(std::max<std::size_t>(1, options.shards)) {
+TraceStore::TraceStore(const Options& options) : options_(options) {
   if (options_.sample_every == 0) options_.sample_every = 1;
 }
 
-void TraceStore::record(std::size_t shard, TraceRecord record) {
-  Shard& s = shards_[shard % shards_.size()];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.seen += 1;
+void TraceStore::record(TraceRecord record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  seen_ += 1;
   // Tail: keep the K slowest, sorted fastest-first so the eviction candidate
   // is always front().
-  if (options_.slowest_per_shard > 0) {
-    const bool full = s.slowest.size() >= options_.slowest_per_shard;
-    if (!full || record.total_seconds > s.slowest.front().total_seconds) {
-      if (full) s.slowest.erase(s.slowest.begin());
+  if (options_.slowest > 0) {
+    const bool full = slowest_.size() >= options_.slowest;
+    if (!full || record.total_seconds > slowest_.front().total_seconds) {
+      if (full) slowest_.erase(slowest_.begin());
       const auto pos = std::lower_bound(
-          s.slowest.begin(), s.slowest.end(), record.total_seconds,
+          slowest_.begin(), slowest_.end(), record.total_seconds,
           [](const TraceRecord& r, double t) { return r.total_seconds < t; });
-      s.slowest.insert(pos, record);
+      slowest_.insert(pos, record);
     }
   }
   // Uniform: every N-th request, into a fixed ring.
-  if (options_.ring_per_shard > 0 && s.seen % options_.sample_every == 1 % options_.sample_every) {
-    if (s.ring.size() < options_.ring_per_shard) {
-      s.ring.push_back(std::move(record));
+  if (options_.ring > 0 &&
+      seen_ % options_.sample_every == 1 % options_.sample_every) {
+    if (ring_.size() < options_.ring) {
+      ring_.push_back(std::move(record));
     } else {
-      s.ring[s.ring_next] = std::move(record);
+      ring_[ring_next_] = std::move(record);
     }
-    s.ring_next = (s.ring_next + 1) % options_.ring_per_shard;
+    ring_next_ = (ring_next_ + 1) % options_.ring;
   }
 }
 
 std::vector<TraceRecord> TraceStore::snapshot() const {
-  std::vector<TraceRecord> out;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    // Slowest-first within the shard.
-    for (std::size_t i = s.slowest.size(); i-- > 0;) {
-      out.push_back(s.slowest[i]);
-    }
-    out.insert(out.end(), s.ring.begin(), s.ring.end());
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<TraceRecord> out(slowest_.rbegin(), slowest_.rend());
+  out.insert(out.end(), ring_.begin(), ring_.end());
   return out;
 }
 
 std::uint64_t TraceStore::recorded() const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.seen;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return seen_;
 }
 
 }  // namespace ic::telemetry

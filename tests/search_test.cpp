@@ -1,5 +1,5 @@
 // Policy-search coverage (DESIGN.md §14): shared selection parsing, fitness
-// oracles and their batching proof, greedy+SA determinism at any jobs/shards,
+// oracles and their batching proof, greedy+SA determinism at any jobs,
 // objective penalties, report rendering, and the {"op":"search"} wire path
 // matching the in-process path byte for byte.
 #include <gtest/gtest.h>
@@ -88,12 +88,10 @@ class SearchTest : public ::testing::Test {
   static void TearDownTestSuite() { circuit_.reset(); }
 
   /// Run the small search through an engine with the given parallelism.
-  static SearchReport run_search(std::size_t shards, std::size_t jobs,
-                                 SearchOptions options) {
+  static SearchReport run_search(std::size_t jobs, SearchOptions options) {
     serve::ModelRegistry registry;
     registry.load("default", model_path_);
     serve::EngineOptions engine_options;
-    engine_options.shards = shards;
     engine_options.jobs = jobs;
     serve::InferenceEngine engine(registry, engine_options);
     engine.register_circuit("default", circuit_);
@@ -210,7 +208,7 @@ TEST_F(SearchTest, EngineOracleThrowsOnUnknownModel) {
 
 TEST_F(SearchTest, SearchScoresNeighborhoodsInBatches) {
   const SearchOptions options = small_options();
-  const SearchReport report = run_search(1, 0, options);
+  const SearchReport report = run_search(0, options);
 
   const std::size_t total_steps = options.greedy_steps + options.sa_steps;
   EXPECT_EQ(report.steps.size(), total_steps);
@@ -235,21 +233,19 @@ TEST_F(SearchTest, SearchScoresNeighborhoodsInBatches) {
   }
 }
 
-TEST_F(SearchTest, ReportIsByteIdenticalAcrossJobsAndShards) {
+TEST_F(SearchTest, ReportIsByteIdenticalAcrossJobs) {
   const SearchOptions options = small_options();
   const std::string baseline =
-      report_to_json(run_search(1, 0, options)).dump();
-  EXPECT_EQ(report_to_json(run_search(1, 4, options)).dump(), baseline)
+      report_to_json(run_search(0, options)).dump();
+  EXPECT_EQ(report_to_json(run_search(4, options)).dump(), baseline)
       << "jobs must not change the report";
-  EXPECT_EQ(report_to_json(run_search(4, 4, options)).dump(), baseline)
-      << "shards must not change the report";
 }
 
 TEST_F(SearchTest, AreaPenaltyIsAppliedToTheObjective) {
   SearchOptions options = small_options();
   options.top_k = 0;
   options.objective.area_weight = 0.5;
-  const SearchReport report = run_search(1, 0, options);
+  const SearchReport report = run_search(0, options);
   const std::size_t key_bits = key_bits_for(
       options.scheme, report.best_selection, *circuit_, options.budget);
   EXPECT_DOUBLE_EQ(
@@ -262,7 +258,7 @@ TEST_F(SearchTest, AntiSatSchemeSearchesSingleTargetWire) {
   options.scheme = LockScheme::AntiSat;
   options.budget = 3;  // AND-tree width
   options.top_k = 1;
-  const SearchReport report = run_search(1, 0, options);
+  const SearchReport report = run_search(0, options);
   EXPECT_EQ(report.best_selection.size(), 1u);
   ASSERT_EQ(report.verified.size(), 1u);
   EXPECT_EQ(report.verified[0].key_bits, 6u);  // 2 * width
@@ -271,10 +267,10 @@ TEST_F(SearchTest, AntiSatSchemeSearchesSingleTargetWire) {
 TEST_F(SearchTest, InfeasibleOptionsThrow) {
   SearchOptions options = small_options();
   options.neighbors = 0;
-  EXPECT_THROW(run_search(1, 0, options), std::runtime_error);
+  EXPECT_THROW(run_search(0, options), std::runtime_error);
   options = small_options();
   options.budget = circuit_->size();  // larger than the lockable pool
-  EXPECT_THROW(run_search(1, 0, options), std::runtime_error);
+  EXPECT_THROW(run_search(0, options), std::runtime_error);
 }
 
 // ---- report rendering -------------------------------------------------------
@@ -282,7 +278,7 @@ TEST_F(SearchTest, InfeasibleOptionsThrow) {
 TEST_F(SearchTest, ReportJsonRoundTripsThroughParse) {
   SearchOptions options = small_options();
   options.top_k = 1;
-  const SearchReport report = run_search(1, 0, options);
+  const SearchReport report = run_search(0, options);
   const serve::JsonValue doc = report_to_json(report);
   EXPECT_EQ(doc.find("doc")->as_string(), "icnet_search_report");
   EXPECT_EQ(doc.find("schema")->as_number(), 1.0);
@@ -393,7 +389,7 @@ TEST_F(SearchTest, WireSearchMatchesInProcessByteForByte) {
   serve::ModelRegistry registry;
   registry.load("default", model_path_);
   serve::EngineOptions engine_options;
-  engine_options.shards = 2;
+  engine_options.jobs = 2;
   serve::InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit_);
   SearchService service(engine);

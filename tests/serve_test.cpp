@@ -673,7 +673,7 @@ TEST_F(ServeTest, TracesOpReportsStageAttributedTimelines) {
   ModelRegistry registry;
   registry.load("default", model_path_);
   EngineOptions engine_options;
-  engine_options.shards = 2;
+  engine_options.jobs = 2;
   InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit_);
   Server server(engine, registry, {});
@@ -834,7 +834,7 @@ TEST_F(ServeTest, OverlongUnterminatedLineIsAnsweredAndClosed) {
   engine.stop();
 }
 
-TEST_F(ServeTest, PeerThatNeverReadsStallsAndThenGetsEveryAnswerInOrder) {
+TEST_F(ServeTest, DeeplyNestedLineIsAnsweredAndTheConnectionLives) {
   ModelRegistry registry;
   registry.load("default", model_path_);
   InferenceEngine engine(registry, {});
@@ -842,108 +842,178 @@ TEST_F(ServeTest, PeerThatNeverReadsStallsAndThenGetsEveryAnswerInOrder) {
   Server server(engine, registry, {});
   server.start();
 
-  // The peer pipelines predicts and reads nothing. Once it owes more than a
-  // bounded amount of answers the server stops reading it, so the peer's
-  // sends stall: it cannot make the server hold as much as it sends.
-  constexpr std::size_t kLimit = std::size_t{32} << 20;
+  auto& wire_errors =
+      telemetry::MetricsRegistry::global().counter("serve.wire_errors");
+  const auto before = wire_errors.value();
+
+  // 50 KB of '[' — far under the line cap, far over any sane nesting.
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  std::uint64_t next_id = 0;
-  std::string unsent;
-  std::size_t sent = 0;
-  std::uint64_t lines_sent = 0;  // whole lines, newline included
-  bool mid_line = false;         // the last send ended inside a line
-  auto last_progress = std::chrono::steady_clock::now();
-  while (sent < kLimit) {
-    if (unsent.empty()) {
-      for (int i = 0; i < 256; ++i) {
-        unsent += R"({"op":"predict","select":[2,4,9],"id":)" +
-                  std::to_string(next_id++) + "}\n";
-      }
-    }
-    const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      const auto bytes = static_cast<std::size_t>(n);
-      lines_sent += static_cast<std::uint64_t>(
-          std::count(unsent.begin(), unsent.begin() + n, '\n'));
-      mid_line = unsent[bytes - 1] != '\n';
-      unsent.erase(0, bytes);
-      sent += bytes;
-      last_progress = std::chrono::steady_clock::now();
-      continue;
-    }
-    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
-    if (std::chrono::steady_clock::now() - last_progress >
-        std::chrono::seconds(1)) {
-      break;  // stalled
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    ::poll(&pfd, 1, 50);
+  const timeval timeout{10, 0};  // a server that never answers fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string lines = R"({"op":"predict","select":[1],"x":)" +
+                            std::string(50000, '[') + "\n" +
+                            R"({"op":"ping","id":2})" + "\n";
+  for (std::size_t sent = 0; sent < lines.size();) {
+    const ssize_t n = ::send(fd, lines.data() + sent, lines.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
   }
-  EXPECT_LT(sent, kLimit) << "the server kept reading a peer that never reads";
-  EXPECT_GT(lines_sent, 0u);
-
-  // Another client is served meanwhile. Its predict may find the engine
-  // queue still full of the stalled peer's requests; those drain, since the
-  // server reads no more of them.
-  {
-    Client other("127.0.0.1", server.port());
-    EXPECT_TRUE(other.ping().ok);
-    WireRequest request;
-    request.select = {2, 4};
-    bool served = false;
-    for (int attempt = 0; attempt < 100 && !served; ++attempt) {
-      const WireResponse response = other.call(request);
-      served = response.ok;
-      if (!served) {
-        ASSERT_EQ(response.status, "rejected") << response.error;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    }
-    EXPECT_TRUE(served);
-  }
-
-  // Draining resumes reading. The peer finishes the line it was cut off in
-  // and reads; every request it sent gets its answer, in order.
-  std::string tail =
-      mid_line ? unsent.substr(0, unsent.find('\n') + 1) : std::string();
-  const std::uint64_t expected = lines_sent + (mid_line ? 1 : 0);
-  std::uint64_t answers = 0;
-  std::uint64_t misordered = 0;
   std::string received;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (answers < expected && std::chrono::steady_clock::now() < deadline) {
-    pollfd pfd{fd, static_cast<short>(POLLIN | (tail.empty() ? 0 : POLLOUT)),
-               0};
-    ::poll(&pfd, 1, 100);
-    if ((pfd.revents & POLLOUT) != 0) {
-      const ssize_t n = ::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL);
-      if (n > 0) tail.erase(0, static_cast<std::size_t>(n));
-    }
-    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    char buf[1 << 16];
+  char buf[4096];
+  while (std::count(received.begin(), received.end(), '\n') < 2) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) break;
-    if (n < 0) continue;
+    ASSERT_GT(n, 0) << "connection lost after " << received.size() << " bytes";
     received.append(buf, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl; (nl = received.find('\n', start)) != std::string::npos;
-         start = nl + 1) {
-      const WireResponse response =
-          parse_response(received.substr(start, nl - start));
-      if (!response.has_id || response.id != answers) ++misordered;
-      ++answers;
-    }
-    received.erase(0, start);
   }
   ::close(fd);
-  EXPECT_EQ(answers, expected);
-  EXPECT_EQ(misordered, 0u);
+
+  const std::size_t nl = received.find('\n');
+  const WireResponse error = parse_response(received.substr(0, nl));
+  EXPECT_FALSE(error.ok);
+  EXPECT_EQ(error.status, "error");
+  EXPECT_NE(error.error.find("nesting"), std::string::npos) << error.error;
+  const WireResponse ping =
+      parse_response(received.substr(nl + 1, received.size() - nl - 2));
+  EXPECT_TRUE(ping.ok);
+  EXPECT_EQ(ping.id, 2u);
+  EXPECT_EQ(wire_errors.value(), before + 1);
 
   server.shutdown();
   engine.stop();
+}
+
+TEST_F(ServeTest, PeerThatNeverReadsStallsAndThenGetsEveryAnswerInOrder) {
+  // Two inputs. Plain: the peer's answers pile up unsent. Held: its first
+  // line is an op whose handler answers only after the stall, so every
+  // predict answer waits behind it, ready but not yet sendable.
+  for (const bool held : {false, true}) {
+    SCOPED_TRACE(held ? "answers held behind a slow op" : "answers unsent");
+    ModelRegistry registry;
+    registry.load("default", model_path_);
+    InferenceEngine engine(registry, {});
+    engine.register_circuit("default", circuit_);
+    Server server(engine, registry, {});
+    std::promise<std::function<void(std::string)>> slow_op;
+    if (held) {
+      server.register_op("search", [&slow_op](const WireRequest&,
+                                              std::function<void(std::string)>
+                                                  respond) {
+        slow_op.set_value(std::move(respond));
+      });
+    }
+    server.start();
+
+    // The peer pipelines predicts and reads nothing. Once it owes more than a
+    // bounded amount of answers the server stops reading it, so the peer's
+    // sends stall: it cannot make the server hold as much as it sends.
+    constexpr std::size_t kLimit = std::size_t{32} << 20;
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    std::uint64_t next_id = held ? 1 : 0;
+    std::string unsent = held ? R"({"op":"search","id":0})" "\n" : "";
+    std::size_t sent = 0;
+    std::uint64_t lines_sent = 0;  // whole lines, newline included
+    bool mid_line = false;         // the last send ended inside a line
+    auto last_progress = std::chrono::steady_clock::now();
+    while (sent < kLimit) {
+      if (unsent.empty()) {
+        for (int i = 0; i < 256; ++i) {
+          unsent += R"({"op":"predict","select":[2,4,9],"id":)" +
+                    std::to_string(next_id++) + "}\n";
+        }
+      }
+      const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        const auto bytes = static_cast<std::size_t>(n);
+        lines_sent += static_cast<std::uint64_t>(
+            std::count(unsent.begin(), unsent.begin() + n, '\n'));
+        mid_line = unsent[bytes - 1] != '\n';
+        unsent.erase(0, bytes);
+        sent += bytes;
+        last_progress = std::chrono::steady_clock::now();
+        continue;
+      }
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+          << std::strerror(errno);
+      if (std::chrono::steady_clock::now() - last_progress >
+          std::chrono::seconds(1)) {
+        break;  // stalled
+      }
+      pollfd pfd{fd, POLLOUT, 0};
+      ::poll(&pfd, 1, 50);
+    }
+    EXPECT_LT(sent, kLimit)
+        << "the server kept reading a peer that never reads";
+    EXPECT_GT(lines_sent, 0u);
+
+    // Another client is served meanwhile. Its predict may find the engine
+    // queue still full of the stalled peer's requests; those drain, since the
+    // server reads no more of them.
+    {
+      Client other("127.0.0.1", server.port());
+      EXPECT_TRUE(other.ping().ok);
+      WireRequest request;
+      request.select = {2, 4};
+      bool served = false;
+      for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+        const WireResponse response = other.call(request);
+        served = response.ok;
+        if (!served) {
+          ASSERT_EQ(response.status, "rejected") << response.error;
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+      }
+      EXPECT_TRUE(served);
+    }
+    if (held) {
+      slow_op.get_future().get()(R"({"id":0,"ok":true,"op":"search"})");
+    }
+
+    // Draining resumes reading. The peer finishes the line it was cut off in
+    // and reads; every request it sent gets its answer, in order.
+    std::string tail =
+        mid_line ? unsent.substr(0, unsent.find('\n') + 1) : std::string();
+    const std::uint64_t expected = lines_sent + (mid_line ? 1 : 0);
+    std::uint64_t answers = 0;
+    std::uint64_t misordered = 0;
+    std::string received;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (answers < expected && std::chrono::steady_clock::now() < deadline) {
+      pollfd pfd{fd, static_cast<short>(POLLIN | (tail.empty() ? 0 : POLLOUT)),
+                 0};
+      ::poll(&pfd, 1, 100);
+      if ((pfd.revents & POLLOUT) != 0) {
+        const ssize_t n = ::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL);
+        if (n > 0) tail.erase(0, static_cast<std::size_t>(n));
+      }
+      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      char buf[1 << 16];
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n == 0) break;
+      if (n < 0) continue;
+      received.append(buf, static_cast<std::size_t>(n));
+      std::size_t start = 0;
+      for (std::size_t nl;
+           (nl = received.find('\n', start)) != std::string::npos;
+           start = nl + 1) {
+        const WireResponse response =
+            parse_response(received.substr(start, nl - start));
+        if (!response.has_id || response.id != answers) ++misordered;
+        ++answers;
+      }
+      received.erase(0, start);
+    }
+    ::close(fd);
+    EXPECT_EQ(answers, expected);
+    EXPECT_EQ(misordered, 0u);
+
+    server.shutdown();
+    engine.stop();
+  }
 }
 
 TEST_F(ServeTest, RemoteShutdownDrainsGracefully) {
@@ -1037,14 +1107,13 @@ TEST_F(ServeTest, StatsAndHealthCarryProcessStats) {
 }
 #endif
 
-// ---- Sharded engine --------------------------------------------------------
+// ---- Engine workers ---------------------------------------------------------
 
 TEST_F(ServeTest, SubmitAsyncCompletesViaCallback) {
   ModelRegistry registry;
   registry.load("default", model_path_);
   EngineOptions options;
-  options.jobs = 1;
-  options.shards = 2;
+  options.jobs = 2;
   InferenceEngine engine(registry, options);
   engine.register_circuit("default", circuit_);
 
@@ -1066,68 +1135,35 @@ TEST_F(ServeTest, SubmitAsyncCompletesViaCallback) {
   EXPECT_TRUE(rejected_inline);
 }
 
-TEST_F(ServeTest, ShardTargetedBackpressure) {
-  // One saturated shard must reject while the others keep admitting.
+TEST_F(ServeTest, WorkersTakeFairSharesOfTheQueue) {
+  // 64 queued requests over 4 workers: each pop takes at most a quarter of
+  // what is queued, so the burst spreads over several pops instead of
+  // filling one max_batch (32) pop while the other workers idle.
   ModelRegistry registry;
   registry.load("default", model_path_);
   EngineOptions options;
-  options.shards = 4;
-  options.max_queue = 2;  // per-shard bound
-  options.jobs = 1;
+  options.jobs = 4;
   InferenceEngine engine(registry, options);
   engine.register_circuit("default", circuit_);
-  ASSERT_EQ(engine.shard_count(), 4u);
-  ASSERT_EQ(engine.total_capacity(), 8u);
 
-  // The router is a pure function of (circuit fingerprint, selection), so a
-  // fixed selection always lands on the same shard.
-  const std::vector<GateId> hot = {1, 2};
-  const std::size_t hot_shard = engine.shard_of(request_for(hot));
-  ASSERT_EQ(hot_shard, engine.shard_of(request_for(hot)));
-
-  // Find a selection the router sends elsewhere (tiny search space — with 4
-  // shards most candidates qualify immediately).
-  std::vector<GateId> cold;
-  for (GateId g = 3; g < 40; ++g) {
-    if (engine.shard_of(request_for({g})) != hot_shard) {
-      cold = {g};
-      break;
-    }
+  engine.set_paused(true);
+  std::vector<std::future<PredictResult>> futures;
+  for (GateId g = 0; g < 64; ++g) {
+    futures.push_back(engine.submit(request_for({g})));
   }
-  ASSERT_FALSE(cold.empty()) << "no selection routed off the hot shard";
-
-  engine.set_paused(true);  // queues fill deterministically
-  std::vector<std::future<PredictResult>> accepted;
-  for (int i = 0; i < 2; ++i) {
-    accepted.push_back(engine.submit(request_for(hot)));
-  }
-  EXPECT_EQ(engine.queue_depth(hot_shard), 2u);
-
-  auto overflow = engine.submit(request_for(hot));
-  ASSERT_EQ(overflow.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "the saturated shard must answer immediately";
-  const auto rejected = overflow.get();
-  EXPECT_EQ(rejected.status, RequestStatus::Rejected);
-  EXPECT_NE(rejected.error.find("queue full"), std::string::npos);
-
-  // Other shards still admit: the cold request queues instead of rejecting.
-  auto admitted = engine.submit(request_for(cold));
-  EXPECT_NE(admitted.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "a different shard should have accepted this request";
-  EXPECT_EQ(engine.queue_depth(), 3u);
-
+  ASSERT_EQ(engine.queue_depth(), 64u);
+  auto& pops =
+      telemetry::MetricsRegistry::global().histogram("serve.batch_size");
+  pops.reset();
   engine.set_paused(false);
-  for (auto& f : accepted) {
-    EXPECT_EQ(f.get().status, RequestStatus::Ok);
-  }
-  EXPECT_EQ(admitted.get().status, RequestStatus::Ok);
+  for (auto& f : futures) EXPECT_EQ(f.get().status, RequestStatus::Ok);
+  EXPECT_GE(pops.count(), 4u);
+  EXPECT_LE(pops.max(), 16.0);
 }
 
-TEST_F(ServeTest, CrossShardResponsesAreByteIdentical) {
+TEST_F(ServeTest, CrossJobsResponsesAreByteIdentical) {
   // The same pipelined request stream must produce byte-identical response
-  // bytes at shards=1 and shards=4 — routing decides WHERE a request
+  // bytes at jobs=1 and jobs=4 — the worker decides WHERE a request
   // computes, never WHAT it answers (DESIGN.md §13). request_ids are
   // client-supplied so the engine's r-<n> counter cannot differ between
   // configurations.
@@ -1148,18 +1184,15 @@ TEST_F(ServeTest, CrossShardResponsesAreByteIdentical) {
     stream += '\n';
   }
 
-  const auto serve_stream = [&](std::size_t shards) {
+  const auto serve_stream = [&](std::size_t jobs) {
     ModelRegistry registry;
     registry.load("default", model_path_);
     EngineOptions engine_options;
-    engine_options.shards = shards;
-    engine_options.jobs = 2;
+    engine_options.jobs = jobs;
     engine_options.max_batch = 8;
     InferenceEngine engine(registry, engine_options);
     engine.register_circuit("default", circuit_);
-    ServerOptions server_options;
-    server_options.io_threads = 2;
-    Server server(engine, registry, server_options);
+    Server server(engine, registry, {});
     server.start();
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1202,11 +1235,11 @@ TEST_F(ServeTest, CrossShardResponsesAreByteIdentical) {
 
   std::string serial;
   serve_stream(1).swap(serial);
-  std::string sharded;
-  serve_stream(4).swap(sharded);
+  std::string parallel;
+  serve_stream(4).swap(parallel);
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, sharded)
-      << "sharded responses diverged from the serial path";
+  EXPECT_EQ(serial, parallel)
+      << "jobs=4 responses diverged from the serial path";
   // Responses come back in request order: the i-th line echoes q-<i>.
   std::size_t pos = 0;
   for (int i = 0; i < kRequests; ++i) {

@@ -304,16 +304,15 @@ TraceRecord make_record(const std::string& id, double total_seconds) {
 
 TEST(TraceStore, KeepsTheSlowestRequests) {
   TraceStore::Options options;
-  options.shards = 1;
-  options.slowest_per_shard = 2;
-  options.ring_per_shard = 0;
+  options.slowest = 2;
+  options.ring = 0;
   options.sample_every = 1 << 20;  // effectively disable uniform sampling
   TraceStore store(options);
 
-  store.record(0, make_record("fast", 0.001));
-  store.record(0, make_record("slow", 0.5));
-  store.record(0, make_record("medium", 0.01));
-  store.record(0, make_record("slowest", 2.0));
+  store.record(make_record("fast", 0.001));
+  store.record(make_record("slow", 0.5));
+  store.record(make_record("medium", 0.01));
+  store.record(make_record("slowest", 2.0));
 
   const auto snapshot = store.snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
@@ -325,14 +324,13 @@ TEST(TraceStore, KeepsTheSlowestRequests) {
 
 TEST(TraceStore, UniformRingSamplesEveryNth) {
   TraceStore::Options options;
-  options.shards = 1;
-  options.slowest_per_shard = 0;
-  options.ring_per_shard = 4;
+  options.slowest = 0;
+  options.ring = 4;
   options.sample_every = 3;
   TraceStore store(options);
 
   for (int i = 0; i < 9; ++i) {
-    store.record(0, make_record("r" + std::to_string(i), 0.001));
+    store.record(make_record("r" + std::to_string(i), 0.001));
   }
   // Records 1, 4, 7 (1-indexed arrival order) land in the ring.
   const auto snapshot = store.snapshot();
@@ -344,9 +342,8 @@ TEST(TraceStore, UniformRingSamplesEveryNth) {
 
 TEST(TraceStore, ConcurrentAppendAndQueryStaysConsistent) {
   TraceStore::Options options;
-  options.shards = 4;
-  options.slowest_per_shard = 8;
-  options.ring_per_shard = 16;
+  options.slowest = 8;
+  options.ring = 16;
   options.sample_every = 4;
   TraceStore store(options);
 
@@ -373,7 +370,7 @@ TEST(TraceStore, ConcurrentAppendAndQueryStaysConsistent) {
         TraceRecord record = make_record(
             "w" + std::to_string(w) + "-" + std::to_string(i),
             0.001 * static_cast<double>((w * 31 + i) % 97));
-        store.record(static_cast<std::size_t>(i) % 4, std::move(record));
+        store.record(std::move(record));
       }
     });
   }
@@ -384,8 +381,8 @@ TEST(TraceStore, ConcurrentAppendAndQueryStaysConsistent) {
   EXPECT_EQ(store.recorded(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
   const auto snapshot = store.snapshot();
-  // Retention caps: at most slowest + ring per shard.
-  EXPECT_LE(snapshot.size(), 4u * (8u + 16u));
+  // Retention cap: at most slowest + ring.
+  EXPECT_LE(snapshot.size(), 8u + 16u);
   EXPECT_GT(snapshot.size(), 0u);
 }
 

@@ -1,6 +1,6 @@
 // Serving-layer throughput bench (DESIGN.md §9): inference requests/s and
 // latency percentiles as the engine's worker count grows, plus the
-// cold-vs-warm feature-cache effect. All numbers are recorded as
+// cold-vs-warm cost of a circuit's first predict. All numbers are recorded as
 // bench.serve.* gauges via the metrics registry (ICNET_METRICS_OUT snapshots
 // them; ICNET_BENCH_OUT writes the normalized BENCH_serve.json), and the
 // latency percentiles come straight from Histogram::quantile on the engine's
@@ -80,8 +80,9 @@ int main() {
                     ic::telemetry::Histogram::exponential_bounds(
                         1e-5, 1.5, 40));
 
-  // Cold vs warm featurization: the first request pays make_structure +
-  // gate_features; every later request reuses the cached entry.
+  // Cold vs warm: a fresh engine's first request builds the circuit's
+  // prepared state (structure operator, base features and activations);
+  // every later request shares it.
   {
     ic::serve::ModelRegistry registry;
     registry.load("default", model_path);
@@ -90,7 +91,6 @@ int main() {
     ic::serve::PredictRequest request;
     request.selection = selections[0];
 
-    engine.clear_feature_cache();
     ic::Timer cold_timer;
     engine.predict(request);
     const double cold = cold_timer.seconds();
@@ -103,7 +103,7 @@ int main() {
       warm_total += warm_timer.seconds();
     }
     const double warm = warm_total / static_cast<double>(warm_reps);
-    std::printf("feature cache: cold %.6f s, warm %.6f s (%.1fx)\n", cold,
+    std::printf("first predict: cold %.6f s, warm %.6f s (%.1fx)\n", cold,
                 warm, warm > 0 ? cold / warm : 0.0);
     icbench::record_measurement("serve.cold_request_seconds", cold);
     icbench::record_measurement("serve.warm_request_seconds", warm);
@@ -123,7 +123,7 @@ int main() {
     ic::serve::InferenceEngine engine(registry, options);
     engine.register_circuit("default", circuit);
 
-    // Warm the feature cache out of band.
+    // Build the circuit's prepared state out of band.
     ic::serve::PredictRequest warmup;
     warmup.selection = selections[0];
     engine.predict(warmup);

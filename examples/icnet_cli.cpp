@@ -27,7 +27,7 @@
 //                     remote, at any --jobs.
 //   icnet_cli serve   <circuit.bench> <model> --port P [--host H]
 //                     [--max-queue N] [--batch B] [--timeout-ms T]
-//                     [--reload-ms R] [--slow-ms T] [--feature-cache-max N]
+//                     [--reload-ms R] [--slow-ms T]
 //   icnet_cli query   --port P [--host H] --select "12,57,101"
 //                     [--op predict|ping|profile|traces|stats|health|shutdown]
 //                     [--model M] [--circuit C] [--timeout-ms T]
@@ -457,7 +457,6 @@ int cmd_search(const Args& a) {
     ic::serve::InferenceEngine engine(registry, engine_options);
     engine.register_circuit("default", circuit);
     ic::search::SearchService service(engine);
-    service.register_circuit("default", circuit);
     ic::serve::WireRequest request;
     request.op = "search";
     request.search = params;
@@ -485,15 +484,12 @@ int cmd_serve(const Args& a) {
   engine_options.max_batch = std::stoul(opt(a, "batch", "32"));
   engine_options.default_timeout_ms = std::stoll(opt(a, "timeout-ms", "-1"));
   engine_options.slow_request_ms = std::stoll(opt(a, "slow-ms", "-1"));
-  engine_options.feature_cache_max =
-      std::stoul(opt(a, "feature-cache-max", "0"));
   ic::serve::InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit);
 
-  // {"op":"search"} support: the service scores candidates through the same
-  // engine the predict path uses (shared workers and feature cache).
+  // {"op":"search"} support: the service searches the engine's circuits and
+  // scores candidates through the same engine the predict path uses.
   ic::search::SearchService search_service(engine);
-  search_service.register_circuit("default", circuit);
 
   ic::serve::ServerOptions server_options;
   server_options.host = opt(a, "host", "127.0.0.1");

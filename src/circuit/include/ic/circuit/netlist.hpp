@@ -19,6 +19,11 @@
 
 namespace ic::circuit {
 
+/// Most fanins a LUT may have. Its truth table has 2^fanins rows (a key LUT
+/// reads that many key inputs), so every LUT mutator and validate() throw
+/// std::runtime_error past this bound before computing a row count.
+inline constexpr std::size_t kMaxLutFanins = 16;
+
 class Netlist {
  public:
   Netlist() = default;

@@ -37,6 +37,10 @@ std::string_view paren_contents(std::string_view s, int line) {
 
 std::vector<bool> parse_hex_truth(std::string_view hex, std::size_t arity, int line) {
   if (starts_with(hex, "0x") || starts_with(hex, "0X")) hex.remove_prefix(2);
+  // A 64-bit constant holds at most 2^6 rows; check before shifting.
+  IC_CHECK(arity <= 6, "bench parse error at line "
+                           << line << ": fixed LUT with " << arity
+                           << " fanins; a hex constant holds at most 6");
   const std::size_t rows = std::size_t{1} << arity;
   std::vector<bool> truth(rows, false);
   // Hex digits are most-significant-first; bit i of the value is row i.
@@ -52,7 +56,6 @@ std::vector<bool> parse_hex_truth(std::string_view hex, std::size_t arity, int l
     else parse_error(line, std::string("bad hex digit '") + c + "'");
     value = (value << 4) | static_cast<std::uint64_t>(digit);
   }
-  IC_CHECK(rows <= 64, "fixed LUT arity > 6 not representable in hex constant");
   for (std::size_t i = 0; i < rows; ++i) truth[i] = (value >> i) & 1u;
   return truth;
 }

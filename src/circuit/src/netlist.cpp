@@ -6,6 +6,19 @@
 
 namespace ic::circuit {
 
+namespace {
+
+/// 2^fanins, the rows of a LUT's truth table. Throws before the shift when
+/// `fanins` exceeds kMaxLutFanins.
+std::size_t lut_rows(std::size_t fanins, const std::string& name) {
+  IC_CHECK(fanins <= kMaxLutFanins, "LUT '" << name << "' has " << fanins
+                                            << " fanins; at most "
+                                            << kMaxLutFanins << " are allowed");
+  return std::size_t{1} << fanins;
+}
+
+}  // namespace
+
 GateId Netlist::add_gate_impl(Gate g) {
   IC_CHECK(!by_name_.contains(g.name),
            "duplicate gate name '" << g.name << "' in netlist '" << name_ << "'");
@@ -59,7 +72,7 @@ GateId Netlist::add_gate(GateKind kind, std::vector<GateId> fanins,
 GateId Netlist::add_fixed_lut(std::vector<GateId> fanins,
                               std::vector<bool> truth, std::string name) {
   IC_ASSERT(!fanins.empty());
-  IC_ASSERT_MSG(truth.size() == (std::size_t{1} << fanins.size()),
+  IC_ASSERT_MSG(truth.size() == lut_rows(fanins.size(), name),
                 "LUT " << name << " truth table size mismatch");
   Gate g;
   g.kind = GateKind::Lut;
@@ -72,7 +85,7 @@ GateId Netlist::add_fixed_lut(std::vector<GateId> fanins,
 GateId Netlist::add_key_lut(std::vector<GateId> fanins, std::int32_t key_base,
                             std::string name) {
   IC_ASSERT(!fanins.empty());
-  const std::size_t bits = std::size_t{1} << fanins.size();
+  const std::size_t bits = lut_rows(fanins.size(), name);
   IC_ASSERT_MSG(key_base >= 0 &&
                     static_cast<std::size_t>(key_base) + bits <= key_inputs_.size(),
                 "key LUT " << name << " references key bits ["
@@ -98,7 +111,7 @@ void Netlist::replace_with_key_lut(GateId id, std::int32_t key_base) {
   IC_ASSERT(id < gates_.size());
   Gate& g = gates_[id];
   IC_ASSERT_MSG(is_logic(g.kind), "cannot obfuscate a source gate");
-  const std::size_t bits = std::size_t{1} << g.fanins.size();
+  const std::size_t bits = lut_rows(g.fanins.size(), g.name);
   IC_ASSERT_MSG(key_base >= 0 &&
                     static_cast<std::size_t>(key_base) + bits <= key_inputs_.size(),
                 "key range out of bounds replacing gate " << g.name);
@@ -115,7 +128,7 @@ void Netlist::replace_with_key_lut(GateId id, std::int32_t key_base,
   for (GateId f : fanins) IC_ASSERT(f < gates_.size());
   Gate& g = gates_[id];
   IC_ASSERT_MSG(is_logic(g.kind), "cannot obfuscate a source gate");
-  const std::size_t bits = std::size_t{1} << fanins.size();
+  const std::size_t bits = lut_rows(fanins.size(), g.name);
   IC_ASSERT_MSG(key_base >= 0 &&
                     static_cast<std::size_t>(key_base) + bits <= key_inputs_.size(),
                 "key range out of bounds replacing gate " << g.name);
@@ -225,7 +238,7 @@ void Netlist::validate() const {
         break;
       case GateKind::Lut: {
         IC_CHECK(!g.fanins.empty(), "LUT '" << g.name << "' has no fanins");
-        const std::size_t bits = std::size_t{1} << g.fanins.size();
+        const std::size_t bits = lut_rows(g.fanins.size(), g.name);
         if (g.key_base >= 0) {
           IC_CHECK(static_cast<std::size_t>(g.key_base) + bits <= key_inputs_.size(),
                    "LUT '" << g.name << "' key range out of bounds");

@@ -30,6 +30,11 @@
 // Loading always checks that every shape matches the receiving model, so a
 // file trained with a different architecture fails loudly instead of
 // silently misloading. load_parameters accepts both versions.
+//
+// A v2 header is bounded before any model is built from it, so a corrupt or
+// hostile file cannot size a large allocation: in_features must equal the
+// feature set's width, and the layer count, every layer width and
+// cheb_order must lie in [1, kMaxLayers / kMaxWidth / kMaxChebOrder].
 #pragma once
 
 #include <memory>
@@ -39,6 +44,11 @@
 #include "ic/nn/regressor.hpp"
 
 namespace ic::core {
+
+/// Bounds on a v2 header (see above).
+inline constexpr std::size_t kMaxLayers = 8;
+inline constexpr std::size_t kMaxWidth = 256;
+inline constexpr std::size_t kMaxChebOrder = 8;
 
 /// Architecture description parsed from a model file header. For v1 files
 /// only `version` and `param_count` are meaningful; everything else keeps

@@ -96,6 +96,24 @@ void write_values(std::ostream& out, nn::GnnRegressor& model) {
   }
 }
 
+/// The v2 header bounds (model_io.hpp), checked before a model is built.
+void check_bounds(const ModelSpec& spec, const std::string& path) {
+  const nn::GnnConfig& cfg = spec.config;
+  const std::size_t width = data::feature_width(spec.features);
+  IC_CHECK(cfg.in_features == width,
+           "'" << path << "' has in_features " << cfg.in_features
+               << " but feature set '" << feature_set_name(spec.features)
+               << "' is " << width << " columns");
+  IC_CHECK(cfg.cheb_order >= 1 && cfg.cheb_order <= kMaxChebOrder,
+           "'" << path << "' has cheb_order " << cfg.cheb_order
+               << "; it must be 1.." << kMaxChebOrder);
+  for (const std::size_t h : cfg.hidden) {
+    IC_CHECK(h >= 1 && h <= kMaxWidth, "'" << path << "' has a layer of width "
+                                           << h << "; widths must be 1.."
+                                           << kMaxWidth);
+  }
+}
+
 /// Parse the header of an already-open stream. On return the stream is
 /// positioned at the first parameter block.
 ModelSpec read_header(std::istream& in, const std::string& path) {
@@ -118,6 +136,7 @@ ModelSpec read_header(std::istream& in, const std::string& path) {
     if (key == "params") {
       in >> spec.param_count;
       IC_CHECK(!in.fail(), "truncated v2 header in '" << path << "'");
+      check_bounds(spec, path);
       return spec;
     }
     if (key == "variant") {
@@ -139,7 +158,7 @@ ModelSpec read_header(std::istream& in, const std::string& path) {
     } else if (key == "hidden") {
       std::size_t count = 0;
       in >> count;
-      IC_CHECK(!in.fail() && count >= 1 && count <= 64,
+      IC_CHECK(!in.fail() && count >= 1 && count <= kMaxLayers,
                "bad hidden-layer count in '" << path << "'");
       spec.config.hidden.resize(count);
       for (std::size_t& d : spec.config.hidden) in >> d;

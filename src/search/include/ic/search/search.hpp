@@ -134,7 +134,7 @@ std::size_t key_bits_for(LockScheme scheme,
 /// infeasible options (budget exceeding the lockable-gate pool, zero
 /// neighbors...).
 SearchReport policy_search(const circuit::Netlist& circuit,
-                           FitnessOracle& oracle,
+                           EngineOracle& oracle,
                            const SearchOptions& options);
 
 }  // namespace ic::search

@@ -8,11 +8,11 @@
 // Backpressure is explicit: when the queue is full the request is answered
 // status "rejected" immediately.
 //
-// The service keeps its own name → Netlist map (the searcher needs the
-// actual netlist for neighborhoods and verification attacks; the engine only
-// exposes predictions), and scores candidates through an EngineOracle bound
-// to the same engine the predict path uses — so searches and client
-// predictions share the engine workers, feature cache, and model registry.
+// A search names a circuit registered with the engine: the service takes
+// its netlist (for neighborhoods and verification attacks) from
+// InferenceEngine::circuit() and scores candidates through an EngineOracle
+// bound to the same engine — so searches and client predictions share one
+// circuit table, the engine workers and the model registry.
 //
 // options_from_wire() is the single WireSearchParams → SearchOptions
 // mapping; icnet_cli uses it for its in-process path too, which is what
@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -61,18 +59,12 @@ class SearchService {
   SearchService(const SearchService&) = delete;
   SearchService& operator=(const SearchService&) = delete;
 
-  /// Make `circuit` searchable under `name`. The same netlist must be
-  /// registered with the engine under the same name (the oracle queries it
-  /// by name). Replaces any previous binding.
-  void register_circuit(const std::string& name,
-                        std::shared_ptr<const circuit::Netlist> circuit);
-
   /// Install the {"op":"search"} handler. Call before server.start().
   void install(serve::Server& server);
 
   /// Run one search synchronously on the caller's thread (the CLI's
-  /// in-process path; bypasses the queue). Throws on unknown circuit or
-  /// infeasible options.
+  /// in-process path; bypasses the queue). Throws on a circuit the engine
+  /// does not know or on infeasible options.
   SearchReport run(const serve::WireRequest& request);
 
   /// Answer every queued job with an error, then join the worker. Idempotent.
@@ -97,7 +89,6 @@ class SearchService {
   std::condition_variable work_cv_;
   std::deque<Job> queue_;
   bool stopping_ = false;
-  std::map<std::string, std::shared_ptr<const circuit::Netlist>> circuits_;
   std::thread worker_;
 };
 

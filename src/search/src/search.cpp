@@ -125,7 +125,7 @@ std::size_t argmax(const std::vector<double>& values) {
 
 }  // namespace
 
-SearchReport policy_search(const Netlist& circuit, FitnessOracle& oracle,
+SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
                            const SearchOptions& options) {
   telemetry::TraceSpan span("search/policy_search");
   auto& metrics = telemetry::MetricsRegistry::global();

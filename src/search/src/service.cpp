@@ -55,14 +55,6 @@ SearchService::SearchService(serve::InferenceEngine& engine,
 
 SearchService::~SearchService() { stop(); }
 
-void SearchService::register_circuit(
-    const std::string& name,
-    std::shared_ptr<const circuit::Netlist> circuit) {
-  IC_CHECK(circuit != nullptr, "register_circuit needs a netlist");
-  std::lock_guard<std::mutex> lock(mu_);
-  circuits_[name] = std::move(circuit);
-}
-
 void SearchService::install(serve::Server& server) {
   server.register_op(
       "search", [this](const serve::WireRequest& request,
@@ -87,14 +79,8 @@ void SearchService::install(serve::Server& server) {
 }
 
 SearchReport SearchService::run(const serve::WireRequest& request) {
-  std::shared_ptr<const circuit::Netlist> circuit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = circuits_.find(request.circuit);
-    IC_CHECK(it != circuits_.end(),
-             "unknown circuit '" << request.circuit << "'");
-    circuit = it->second;
-  }
+  const auto circuit = engine_.circuit(request.circuit);
+  IC_CHECK(circuit != nullptr, "unknown circuit '" << request.circuit << "'");
   EngineOracle oracle(engine_, request.model, request.circuit);
   return policy_search(*circuit, oracle, options_from_wire(request.search));
 }

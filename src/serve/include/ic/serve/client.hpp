@@ -55,7 +55,7 @@ class Client {
   /// Pipeline a whole batch: send every request before reading the first
   /// response, then collect responses index-aligned with the input (the
   /// server answers in request order per connection). One round trip of
-  /// latency for N requests — the remote policy-search oracle path.
+  /// latency for N requests.
   std::vector<WireResponse> predict_batch(
       const std::vector<WireRequest>& requests);
 

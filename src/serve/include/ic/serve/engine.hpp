@@ -10,8 +10,18 @@
 //   min(max_batch, ceil(queued / workers)), wakes one more worker if work is
 //   left, and answers each request as soon as it is computed: nothing waits
 //   for the rest of a pop. Every worker predicts from the registry's one
-//   immutable ModelSnapshot (predict is const) through the engine-wide
-//   FeatureCache.
+//   immutable ModelSnapshot (predict is const).
+// * Circuit table: each registered circuit keeps its netlist, its
+//   fingerprint and, per live model snapshot, one prepared state — the
+//   structure operator of the snapshot's kind and the snapshot's base
+//   activations (nn::BaseActivations) on the base features, every mask bit
+//   clear. The first predict that needs a prepared state builds it under the
+//   circuit's own lock; every later one shares it. A prepared state is keyed
+//   weakly by its snapshot, so it goes at the circuit's next lookup once a
+//   hot reload has replaced the snapshot and no request holds it, and with
+//   the circuit when its name is registered again. Memory is bounded by
+//   registered circuits × live snapshots. A request copies only its
+//   selection's feature rows, never the n×F matrix (DESIGN.md §9).
 // * Determinism: a prediction is a pure function of (model parameters,
 //   structure operator, features) — the §8 contract — so which worker runs
 //   it can never change what it answers. Responses are bit-identical at any
@@ -30,16 +40,19 @@
 //
 // Telemetry: counters serve.requests / serve.rejected /
 // serve.deadline_exceeded / serve.errors / serve.batches (one per worker
-// pop) / serve.slow_requests, gauge serve.queue_depth, histograms
+// pop) / serve.slow_requests, serve.feature_cache.hits /
+// serve.feature_cache.misses (per predict: prepared state found / built),
+// gauge serve.queue_depth, histograms
 // serve.batch_size (one worker pop), serve.request_seconds (submit →
 // response) and serve.stage.<stage>_seconds (the request's timeline split:
 // queue and batch_admit before execution, feature_build/spmm/dense/readout
-// during it), spans serve/batch and serve/request (annotated with the
-// request_id). Requests slower end-to-end than the slow-request threshold
-// (EngineOptions::slow_request_ms, or the IC_SLOW_REQUEST_MS environment
-// variable when the option is left at -1) additionally emit one
-// "serve.slow_request" warn log line carrying the request_id, circuit
-// fingerprint, queue wait, and compute time.
+// during it), spans serve/batch, serve/request (annotated with the
+// request_id) and serve/featurize (a prepared-state build). Requests slower
+// end-to-end than the slow-request threshold (EngineOptions::
+// slow_request_ms, or the IC_SLOW_REQUEST_MS environment variable when the
+// option is left at -1) additionally emit one "serve.slow_request" warn log
+// line carrying the request_id, circuit fingerprint (0 when the request
+// failed before its circuit was found), queue wait, and compute time.
 #pragma once
 
 #include <atomic>
@@ -54,10 +67,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ic/circuit/netlist.hpp"
-#include "ic/serve/feature_cache.hpp"
+#include "ic/graph/sparse.hpp"
+#include "ic/nn/regressor.hpp"
 #include "ic/serve/model_registry.hpp"
 #include "ic/support/progress.hpp"
 #include "ic/support/timeline.hpp"
@@ -80,8 +95,6 @@ struct EngineOptions {
   /// "serve.slow_request" warn line. -1 = read IC_SLOW_REQUEST_MS from the
   /// environment (absent/unparseable disables the log entirely).
   std::int64_t slow_request_ms = -1;
-  /// FeatureCache entry cap (LRU eviction beyond it); 0 = unbounded.
-  std::size_t feature_cache_max = 0;
 };
 
 enum class RequestStatus { Ok, Rejected, DeadlineExceeded, Error };
@@ -130,9 +143,14 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Register a circuit for prediction under `name` (fingerprinted once
-  /// here; replaces any previous binding of the name).
+  /// here). Replaces any previous binding of the name, and with it every
+  /// prepared state built for the old one.
   void register_circuit(const std::string& name,
                         std::shared_ptr<const circuit::Netlist> circuit);
+
+  /// The netlist registered under `name`, or nullptr.
+  std::shared_ptr<const circuit::Netlist> circuit(
+      const std::string& name) const;
 
   /// Enqueue one request, completion by callback — the non-blocking path
   /// the event-driven server uses. The callback always fires exactly once,
@@ -170,9 +188,6 @@ class InferenceEngine {
   /// Exists so tests can fill the queue deterministically; stop() resumes.
   void set_paused(bool paused);
 
-  /// Drop cached featurizations (cold-start benchmarking).
-  void clear_feature_cache() { features_.clear(); }
-
   /// Resolved slow-request threshold in ms (-1 = logging disabled). Shared
   /// with the search service so {"op":"search"} participates in the same
   /// --slow-ms policy as predict.
@@ -188,12 +203,22 @@ class InferenceEngine {
     Callback done;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;  ///< max() = none
-    std::uint64_t fingerprint = 0;  ///< resolved circuit fingerprint
+    std::uint64_t fingerprint = 0;  ///< set once the circuit is found
     std::uint32_t batch_size = 0;   ///< size of the pop this request ran in
   };
-  struct RegisteredCircuit {
+  /// A circuit's selection-independent state for one model snapshot.
+  struct Prepared {
+    std::shared_ptr<const graph::SparseMatrix> structure;
+    nn::BaseActivations base;  ///< base.features is the base X
+  };
+  struct Circuit {
     std::shared_ptr<const circuit::Netlist> netlist;
     std::uint64_t fingerprint = 0;
+    std::mutex mu;  ///< guards `prepared`; held while one is built
+    /// One per live snapshot; a weak key never keeps a model alive.
+    std::vector<std::pair<std::weak_ptr<const ModelSnapshot>,
+                          std::shared_ptr<const Prepared>>>
+        prepared;
   };
 
   void worker_loop();
@@ -203,10 +228,13 @@ class InferenceEngine {
   PredictResult process(Pending& pending);
   PredictResult process_inner(Pending& pending,
                               std::chrono::steady_clock::time_point started);
+  /// `circuit`'s prepared state for `snapshot`: found, or built under the
+  /// circuit's lock. Counts a feature-cache hit or miss.
+  std::shared_ptr<const Prepared> prepare(
+      Circuit& circuit, const std::shared_ptr<const ModelSnapshot>& snapshot);
 
   ModelRegistry& registry_;
   EngineOptions options_;  ///< jobs resolved to the worker count
-  FeatureCache features_;
   // Instruments resolved once: the request path does no registry lookups.
   telemetry::Counter& requests_;           // serve.requests
   telemetry::Counter& rejected_;           // serve.rejected
@@ -214,6 +242,8 @@ class InferenceEngine {
   telemetry::Counter& errors_;             // serve.errors
   telemetry::Counter& batches_;            // serve.batches
   telemetry::Counter& slow_requests_;      // serve.slow_requests
+  telemetry::Counter& prepared_hits_;      // serve.feature_cache.hits
+  telemetry::Counter& prepared_misses_;    // serve.feature_cache.misses
   telemetry::Gauge& queue_depth_gauge_;    // serve.queue_depth
   telemetry::Histogram& request_seconds_;  // serve.request_seconds
   telemetry::Histogram& batch_size_;       // serve.batch_size
@@ -226,8 +256,8 @@ class InferenceEngine {
   std::int64_t slow_request_ms_ = -1;  ///< resolved option/env; -1 = off
   std::atomic<std::uint64_t> next_request_id_{0};
 
-  mutable std::mutex circuits_mu_;
-  std::map<std::string, RegisteredCircuit> circuits_;
+  mutable std::mutex circuits_mu_;  // guards the table, not its entries
+  std::map<std::string, std::shared_ptr<Circuit>> circuits_;
 
   mutable std::mutex mu_;               // guards the queue state below
   std::condition_variable work_cv_;     // worker wakeups

@@ -1,9 +1,13 @@
 #include "ic/serve/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
 
+#include "ic/circuit/bench_io.hpp"
+#include "ic/data/dataset.hpp"
+#include "ic/data/features.hpp"
 #include "ic/support/assert.hpp"
 #include "ic/support/log.hpp"
 #include "ic/support/metrics.hpp"
@@ -13,6 +17,37 @@
 namespace ic::serve {
 
 using Clock = std::chrono::steady_clock;
+
+namespace {
+
+/// FNV-1a hash of the canonical .bench serialization of a netlist: equal
+/// circuits hash equal regardless of how they were constructed or loaded.
+std::uint64_t netlist_fingerprint(const circuit::Netlist& netlist) {
+  const std::string text = circuit::write_bench(netlist);
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The feature rows a selection changes, in selection order: row i is gate
+/// selection[i]'s base row with its mask bit set, as
+/// data::gate_features(circuit, selection, set) has it. The gate ids must
+/// have been validated.
+graph::Matrix selected_rows(const graph::Matrix& base,
+                            const std::vector<circuit::GateId>& selection) {
+  graph::Matrix rows(selection.size(), base.cols());
+  for (std::size_t i = 0; i < selection.size(); ++i) {
+    const double* from = base.data() + selection[i] * base.cols();
+    std::copy(from, from + base.cols(), rows.data() + i * base.cols());
+    rows(i, data::kMaskColumn) = 1.0;
+  }
+  return rows;
+}
+
+}  // namespace
 
 const char* status_name(RequestStatus status) {
   switch (status) {
@@ -28,7 +63,6 @@ const char* status_name(RequestStatus status) {
 InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
     : registry_(registry),
       options_(options),
-      features_(options.feature_cache_max),
       requests_(telemetry::MetricsRegistry::global().counter("serve.requests")),
       rejected_(telemetry::MetricsRegistry::global().counter("serve.rejected")),
       deadline_exceeded_(telemetry::MetricsRegistry::global().counter(
@@ -37,6 +71,10 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
       batches_(telemetry::MetricsRegistry::global().counter("serve.batches")),
       slow_requests_(
           telemetry::MetricsRegistry::global().counter("serve.slow_requests")),
+      prepared_hits_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.hits")),
+      prepared_misses_(telemetry::MetricsRegistry::global().counter(
+          "serve.feature_cache.misses")),
       queue_depth_gauge_(
           telemetry::MetricsRegistry::global().gauge("serve.queue_depth")),
       request_seconds_(telemetry::MetricsRegistry::global().histogram(
@@ -84,11 +122,18 @@ InferenceEngine::~InferenceEngine() { stop(); }
 void InferenceEngine::register_circuit(
     const std::string& name, std::shared_ptr<const circuit::Netlist> circuit) {
   IC_CHECK(circuit != nullptr, "register_circuit needs a netlist");
-  RegisteredCircuit entry;
-  entry.fingerprint = netlist_fingerprint(*circuit);
-  entry.netlist = std::move(circuit);
+  auto entry = std::make_shared<Circuit>();
+  entry->fingerprint = netlist_fingerprint(*circuit);
+  entry->netlist = std::move(circuit);
   std::lock_guard<std::mutex> lock(circuits_mu_);
   circuits_[name] = std::move(entry);
+}
+
+std::shared_ptr<const circuit::Netlist> InferenceEngine::circuit(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(circuits_mu_);
+  const auto it = circuits_.find(name);
+  return it == circuits_.end() ? nullptr : it->second->netlist;
 }
 
 void InferenceEngine::submit_async(PredictRequest request, Callback done) {
@@ -193,16 +238,10 @@ PredictResult InferenceEngine::process(Pending& pending) {
   if (slow_request_ms_ >= 0 &&
       (queue_wait + compute) * 1e3 > static_cast<double>(slow_request_ms_)) {
     slow_requests_.add(1);
-    std::uint64_t fingerprint = 0;  // 0 when the circuit lookup itself failed
-    {
-      std::lock_guard<std::mutex> lock(circuits_mu_);
-      const auto it = circuits_.find(request.circuit);
-      if (it != circuits_.end()) fingerprint = it->second.fingerprint;
-    }
     ICLOG(warn) << "serve.slow_request"
                 << telemetry::kv("request_id", request.request_id)
                 << telemetry::kv("circuit", request.circuit)
-                << telemetry::kv("fingerprint", fingerprint)
+                << telemetry::kv("fingerprint", pending.fingerprint)
                 << telemetry::kv("queue_wait_s", queue_wait)
                 << telemetry::kv("compute_s", compute)
                 << telemetry::kv("status", status_name(out.status));
@@ -228,7 +267,7 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
       out.error = "unknown model '" + request.model + "'";
       return out;
     }
-    RegisteredCircuit circuit;
+    std::shared_ptr<Circuit> circuit;
     {
       std::lock_guard<std::mutex> lock(circuits_mu_);
       const auto it = circuits_.find(request.circuit);
@@ -240,22 +279,19 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
       }
       circuit = it->second;
     }
-    pending.fingerprint = circuit.fingerprint;
+    pending.fingerprint = circuit->fingerprint;
     for (const circuit::GateId id : request.selection) {
-      if (id >= circuit.netlist->size()) {
+      if (id >= circuit->netlist->size()) {
         errors_.add(1);
         out.status = RequestStatus::Error;
         out.error = "gate id " + std::to_string(id) + " out of range (circuit has " +
-                    std::to_string(circuit.netlist->size()) + " gates)";
+                    std::to_string(circuit->netlist->size()) + " gates)";
         return out;
       }
     }
-    const auto features =
-        features_.get(circuit.netlist, snapshot->spec.features,
-                      snapshot->structure_kind(), circuit.fingerprint);
-    const auto base = features->base(snapshot);
+    const auto prepared = prepare(*circuit, snapshot);
     const graph::Matrix rows =
-        FeatureCache::selected_rows(*features, request.selection);
+        selected_rows(prepared->base.features, request.selection);
     pending.request.timeline.mark(telemetry::Stage::FeatureBuild);
 
     // The delta forward: only the rows the selection reaches are
@@ -263,7 +299,8 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
     // to predict() on the selection's full feature matrix (DESIGN.md §8).
     thread_local nn::Workspace workspace;
     out.log_runtime = snapshot->model->predict(
-        *features->structure, *base, request.selection, rows, workspace);
+        *prepared->structure, prepared->base, request.selection, rows,
+        workspace);
     // Targets are log(1 + microseconds); mirror RuntimeEstimator exactly.
     out.seconds = std::expm1(out.log_runtime) / 1e6;
     out.model_version = snapshot->version;
@@ -274,6 +311,30 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
     out.error = e.what();
     return out;
   }
+}
+
+std::shared_ptr<const InferenceEngine::Prepared> InferenceEngine::prepare(
+    Circuit& circuit, const std::shared_ptr<const ModelSnapshot>& snapshot) {
+  std::lock_guard<std::mutex> lock(circuit.mu);
+  std::erase_if(circuit.prepared,
+                [](const auto& entry) { return entry.first.expired(); });
+  for (const auto& [owner, prepared] : circuit.prepared) {
+    if (!owner.owner_before(snapshot) && !snapshot.owner_before(owner)) {
+      prepared_hits_.add(1);
+      return prepared;
+    }
+  }
+  prepared_misses_.add(1);
+  telemetry::TraceSpan span("serve/featurize");
+  auto structure =
+      data::make_structure(*circuit.netlist, snapshot->structure_kind());
+  auto base = snapshot->model->base(
+      *structure,
+      data::gate_features(*circuit.netlist, {}, snapshot->spec.features));
+  auto built = std::make_shared<const Prepared>(
+      Prepared{std::move(structure), std::move(base)});
+  circuit.prepared.emplace_back(snapshot, built);
+  return built;
 }
 
 void InferenceEngine::finish_timeline(Pending& pending,

@@ -1,10 +1,10 @@
 // Crash/stall flight recorder: a fixed-size lock-free ring buffer of recent
 // structured events with an async-signal-safe dump path (DESIGN.md §12).
 //
-// Every emitted log line (Logger::write) and every captured trace-span
-// boundary appends one compact record, so when a long-running attack hangs or
-// a process dies on SIGSEGV the last ~hundreds of events are recoverable from
-// the dump file instead of lost with the process:
+// Every emitted log line (Logger::write) and every progress-job edge (start,
+// phase, end) appends one compact record, so when a long-running attack hangs
+// or a process dies on SIGSEGV the last ~hundreds of events are recoverable
+// from the dump file instead of lost with the process:
 //
 //   ic::telemetry::set_flight_dump_path("icnet_flight.dump");
 //   ic::telemetry::install_crash_handlers(/*handle_sigterm=*/true);
@@ -45,7 +45,7 @@ class FlightRecorder {
     std::string text;
   };
 
-  /// Process-wide instance, shared by the logger and trace spans.
+  /// Process-wide instance, shared by the logger and progress jobs.
   /// Intentionally leaked (see MetricsRegistry::global()).
   static FlightRecorder& global();
 

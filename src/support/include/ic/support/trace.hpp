@@ -62,11 +62,6 @@ class TraceCollector {
 /// RAII span against the global collector. When collection is disabled at
 /// construction the span is inert (no clock reads, nothing recorded), even if
 /// collection is enabled before it closes — a half-measured span would lie.
-///
-/// Span boundaries also feed the flight recorder (flight_recorder.hpp): when
-/// the recorder is enabled, end() appends one `span <name> dur_us=<n>` record
-/// even with trace collection off, so a crash dump shows which phases the
-/// process last moved through. The clock is read iff either consumer is on.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);
@@ -86,7 +81,6 @@ class TraceSpan {
   const char* name_;
   std::int64_t start_us_ = 0;
   bool active_ = false;  ///< recording into the trace collector
-  bool flight_ = false;  ///< recording the boundary into the flight recorder
   std::vector<std::pair<std::string, std::string>> args_;
 };
 

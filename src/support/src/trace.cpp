@@ -1,11 +1,9 @@
 #include "ic/support/trace.hpp"
 
-#include <cstdio>
 #include <functional>
 #include <sstream>
 #include <thread>
 
-#include "ic/support/flight_recorder.hpp"
 #include "ic/support/log.hpp"
 #include "ic/support/strings.hpp"
 
@@ -78,8 +76,7 @@ std::string TraceCollector::to_chrome_json() const {
 
 TraceSpan::TraceSpan(const char* name) : name_(name) {
   active_ = TraceCollector::global().enabled();
-  flight_ = FlightRecorder::global().enabled();
-  if (active_ || flight_) start_us_ = process_micros();
+  if (active_) start_us_ = process_micros();
 }
 
 void TraceSpan::annotate(const char* key, std::string value) {
@@ -88,24 +85,12 @@ void TraceSpan::annotate(const char* key, std::string value) {
 }
 
 void TraceSpan::end() {
-  if (!active_ && !flight_) return;
-  const std::int64_t dur_us = process_micros() - start_us_;
-  if (flight_) {
-    flight_ = false;
-    char buf[96];
-    const int n = std::snprintf(buf, sizeof(buf), "span %s dur_us=%lld", name_,
-                                static_cast<long long>(dur_us));
-    if (n > 0) {
-      FlightRecorder::global().append(
-          buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
-    }
-  }
   if (!active_) return;
   active_ = false;
   TraceEvent event;
   event.name = name_;
   event.ts_us = start_us_;
-  event.dur_us = dur_us;
+  event.dur_us = process_micros() - start_us_;
   event.tid = this_thread_id();
   event.args = std::move(args_);
   TraceCollector::global().record(std::move(event));

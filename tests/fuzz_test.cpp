@@ -4,15 +4,23 @@
 // ASan/UBSan too. A parser passes when every call returns or throws a
 // std::exception; a crash, a sanitizer report or a hang fails the target.
 //
-// Targets: the JSON wire parser (parse_request, parse_response).
+// Targets: the JSON wire parser (parse_request, parse_response), the .bench
+// netlist parser (circuit::parse_bench), the selection parser
+// (search::parse_selection) and the model loader (core::load_model).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "ic/circuit/bench_io.hpp"
+#include "ic/circuit/generator.hpp"
+#include "ic/core/model_io.hpp"
+#include "ic/data/features.hpp"
+#include "ic/search/selection.hpp"
 #include "ic/serve/wire.hpp"
 
 namespace ic::serve {
@@ -84,8 +92,9 @@ std::vector<std::string> wire_corpus() {
 }
 
 /// One to four byte-level edits: flip, insert, delete, duplicate, truncate,
-/// or insert a run of up to kMaxRun '[', '{', '"' or '\'.
-std::string mutate(std::string s, std::mt19937_64& rng) {
+/// or insert a run of up to `max_run` copies of one of `runs`.
+std::string mutate(std::string s, std::mt19937_64& rng,
+                   const std::vector<std::string>& runs, std::size_t max_run) {
   const auto below = [&rng](std::size_t n) {
     return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
   };
@@ -109,8 +118,11 @@ std::string mutate(std::string s, std::mt19937_64& rng) {
         s.resize(at);
         break;
       default: {
-        static const char kRunBytes[] = {'[', '{', '"', '\\'};
-        s.insert(at, 1 + below(kMaxRun), kRunBytes[below(4)]);
+        std::string run = runs[below(runs.size())];
+        const std::size_t size = run.size() * (1 + below(max_run));
+        while (run.size() < size) run += run;
+        run.resize(size);
+        s.insert(at, run);
         break;
       }
     }
@@ -134,7 +146,8 @@ TEST(WireFuzz, MutatedLinesReturnOrThrow) {
   int accepted = 0;
   int rejected = 0;
   for (int i = 0; i < kIterations; ++i) {
-    const std::string input = mutate(corpus[rng() % corpus.size()], rng);
+    const std::string input = mutate(corpus[rng() % corpus.size()], rng,
+                                     {"[", "{", "\"", "\\"}, kMaxRun);
     for (const bool request : {true, false}) {
       try {
         if (request) {
@@ -169,6 +182,141 @@ TEST(WireFuzz, NestingPastTheLimitIsAParseError) {
         << e.what();
   }
   EXPECT_THROW(parse_request(nested(kMaxRun)), std::runtime_error);
+}
+
+/// Feeds `iterations` mutants of `corpus` to `parse`, which must return or
+/// throw a std::exception, and checks that both outcomes occur.
+template <typename Parse>
+void fuzz(const std::vector<std::string>& corpus,
+          const std::vector<std::string>& runs, std::size_t max_run,
+          int iterations, Parse parse) {
+  std::mt19937_64 rng(kSeed);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const std::string input =
+        mutate(corpus[rng() % corpus.size()], rng, runs, max_run);
+    try {
+      parse(input);
+      ++accepted;
+    } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// ---- .bench ----------------------------------------------------------------
+
+/// write_bench of a generated circuit, plus fixed- and key-LUT lines.
+std::vector<std::string> bench_corpus() {
+  circuit::GeneratorSpec spec;
+  spec.num_inputs = 6;
+  spec.num_outputs = 3;
+  spec.num_gates = 24;
+  spec.seed = 5;
+  return {circuit::write_bench(circuit::generate_circuit(spec, "fuzz")),
+          "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(keyinput0)\n"
+          "INPUT(keyinput1)\nINPUT(keyinput2)\nINPUT(keyinput3)\n"
+          "OUTPUT(y)\nOUTPUT(z)\n"
+          "x = LUT 0x6 (a, b)\n"
+          "y = KLUT 0 (x, c)\n"
+          "z = LUT 0x8000000000000001 (a, b, c, x, y, a)\n"};
+}
+
+TEST(BenchFuzz, SeedCorpusParses) {
+  for (const std::string& text : bench_corpus()) {
+    EXPECT_NO_THROW(circuit::parse_bench(text)) << text;
+  }
+}
+
+TEST(BenchFuzz, MutatedNetlistsReturnOrThrow) {
+  // Runs of fanins make LUT and KLUT lines as wide as the parser must bound.
+  fuzz(bench_corpus(), {", a", ", x", "\n", "("}, 200, kIterations,
+       [](const std::string& text) { circuit::parse_bench(text); });
+}
+
+TEST(BenchFuzz, LutFaninsAreBoundedBeforeAnyShift) {
+  const auto lut = [](const char* kind, std::size_t fanins) {
+    std::string text = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\n"
+                       "INPUT(f)\nINPUT(keyinput0)\nOUTPUT(y)\ny = ";
+    text += kind;
+    text += " (";
+    for (std::size_t i = 0; i < fanins; ++i) {
+      text += std::string(i > 0 ? ", " : "") + static_cast<char>('a' + i % 6);
+    }
+    return text + ")\n";
+  };
+  EXPECT_NO_THROW(circuit::parse_bench(lut("LUT 0x6", 6)));
+  EXPECT_THROW(circuit::parse_bench(lut("LUT 0x6", 7)), std::runtime_error);
+  EXPECT_THROW(circuit::parse_bench(lut("LUT 0x6", 64)), std::runtime_error);
+  EXPECT_THROW(circuit::parse_bench(lut("KLUT 0", 64)), std::runtime_error);
+}
+
+// ---- selections -------------------------------------------------------------
+
+TEST(SelectionFuzz, MutatedSelectionsReturnOrThrow) {
+  fuzz({"12,57,101", " 4 5\t6\r", "0", "4294967295, 1"}, {"9", ",", " "},
+       100, kIterations,
+       [](const std::string& text) { search::parse_selection(text); });
+}
+
+// ---- model files ------------------------------------------------------------
+
+TEST(ModelFuzz, MutatedModelFilesReturnOrThrow) {
+  nn::GnnConfig config;
+  config.in_features = data::feature_width(data::FeatureSet::All);
+  config.hidden = {3, 2};
+  nn::GnnRegressor model(config);
+  const std::string path = ::testing::TempDir() + "fuzz_model.txt";
+  core::save_model(model, path, core::ModelVariant::ICNet,
+                   data::FeatureSet::All);
+  std::string saved;
+  {
+    std::ifstream in(path);
+    saved.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_NO_THROW(core::load_model(path));
+  // A run of digits widens a number, such as a layer width in the header.
+  // Fewer iterations than the other targets: each one writes a file.
+  fuzz({saved}, {"9", " ", "\n"}, 12, 5000, [&path](const std::string& text) {
+    std::ofstream(path, std::ios::trunc) << text;
+    core::load_model(path);
+  });
+}
+
+TEST(ModelFuzz, HeaderIsBoundedBeforeTheModelIsBuilt) {
+  const std::string path = ::testing::TempDir() + "fuzz_header.txt";
+  const auto load = [&path](const std::string& features,
+                            const std::string& in_features,
+                            const std::string& hidden,
+                            const std::string& cheb_order) {
+    std::ofstream(path, std::ios::trunc)
+        << "icnet-params v2\nvariant chebnet\nfeatures " << features
+        << "\nconv chebyshev\ncheb_order " << cheb_order << "\nin_features "
+        << in_features << "\nhidden " << hidden
+        << "\nreadout attention\nexp_head 1\nparams 0\n";
+    core::load_model(path);
+  };
+  const auto fails_on = [&](const char* needle, auto&&... args) {
+    try {
+      load(args...);
+      ADD_FAILURE() << "loaded a header that should fail on " << needle;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  // In bounds, the header passes and the empty body fails the count check.
+  fails_on("parameter count", "all", "7", "2 8 4", "3");
+  fails_on("in_features", "location", "7", "2 8 4", "3");
+  fails_on("in_features", "all", "1", "2 8 4", "3");
+  fails_on("width", "all", "7", "2 4096 4096", "3");
+  fails_on("width", "all", "7", "2 8 0", "3");
+  fails_on("cheb_order", "all", "7", "2 8 4", "0");
+  fails_on("cheb_order", "all", "7", "2 8 4", "1000");
+  fails_on("hidden-layer count", "all", "7", "9 1 1 1 1 1 1 1 1 1", "3");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Policy-search coverage (DESIGN.md §14): shared selection parsing, fitness
-// oracles and their batching proof, greedy+SA determinism at any jobs,
+// Policy-search coverage (DESIGN.md §14): shared selection parsing, the
+// fitness oracle and its batching proof, greedy+SA determinism at any jobs,
 // objective penalties, report rendering, and the {"op":"search"} wire path
 // matching the in-process path byte for byte.
 #include <gtest/gtest.h>
@@ -393,7 +393,6 @@ TEST_F(SearchTest, WireSearchMatchesInProcessByteForByte) {
   serve::InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit_);
   SearchService service(engine);
-  service.register_circuit("default", circuit_);
   serve::Server server(engine, registry);
   service.install(server);
   server.start();
@@ -433,7 +432,6 @@ TEST_F(SearchTest, SearchResponsesEchoRequestIdsAndCountSlowRequests) {
   serve::InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit_);
   SearchService service(engine);
-  service.register_circuit("default", circuit_);
   serve::Server server(engine, registry);
   service.install(server);
   server.start();
@@ -511,6 +509,7 @@ TEST_F(SearchTest, ServiceRejectsUnknownCircuit) {
   SearchService service(engine);
   serve::WireRequest request;
   request.op = "search";
+  request.circuit = "nope";
   EXPECT_THROW(service.run(request), std::runtime_error);
   service.stop();
 }

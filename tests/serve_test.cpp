@@ -1,6 +1,6 @@
-// Serving-layer coverage (DESIGN.md §9): model registry hot-reload, feature
-// cache, engine backpressure/deadlines/shutdown, and the TCP loopback path —
-// including bit-identical concurrent vs. serial predictions.
+// Serving-layer coverage (DESIGN.md §9): model registry hot-reload, the
+// engine's circuit table, engine backpressure/deadlines/shutdown, and the TCP
+// loopback path — including bit-identical concurrent vs. serial predictions.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -23,6 +23,7 @@
 #include "ic/core/estimator.hpp"
 #include "ic/data/features.hpp"
 #include "ic/serve/serve.hpp"
+#include "ic/support/flight_recorder.hpp"
 #include "ic/support/metrics.hpp"
 
 namespace ic::serve {
@@ -82,8 +83,10 @@ data::Dataset synthetic_dataset(std::shared_ptr<const Netlist> circuit,
 /// Train-and-save a small model; `seed` varies the weights so hot-reload
 /// tests can produce a genuinely different file.
 void write_model(const std::string& path,
-                 std::shared_ptr<const Netlist> circuit, std::uint64_t seed) {
+                 std::shared_ptr<const Netlist> circuit, std::uint64_t seed,
+                 core::ModelVariant variant = core::ModelVariant::ICNet) {
   core::EstimatorOptions options;
+  options.variant = variant;
   options.hidden = {6, 4};
   options.seed = seed;
   options.train.max_epochs = 5;
@@ -159,77 +162,6 @@ TEST_F(ServeTest, RegistryKeepsServingWhenReloadFails) {
   write_model(path, circuit_, 3);
   EXPECT_EQ(registry.poll_reload(), 1u);
   EXPECT_EQ(registry.get("m")->version, 2u);
-}
-
-// ---- FeatureCache ----------------------------------------------------------
-
-TEST_F(ServeTest, FeatureCacheHitsOnSameCircuitAndMissesAcrossKinds) {
-  FeatureCache cache;
-  const auto a = cache.get(circuit_, data::FeatureSet::All,
-                           data::StructureKind::Adjacency);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto b = cache.get(circuit_, data::FeatureSet::All,
-                           data::StructureKind::Adjacency);
-  EXPECT_EQ(a, b) << "second lookup must hit the cached entry";
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto c = cache.get(circuit_, data::FeatureSet::All,
-                           data::StructureKind::GcnNorm);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(cache.size(), 2u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST_F(ServeTest, FeatureCacheEvictsLeastRecentlyUsedAtCap) {
-  auto make_circuit = [](std::uint64_t seed) {
-    circuit::GeneratorSpec spec;
-    spec.num_inputs = 8;
-    spec.num_outputs = 4;
-    spec.num_gates = 32;
-    spec.seed = seed;
-    return std::make_shared<const Netlist>(
-        circuit::generate_circuit(spec, "lru"));
-  };
-  const auto a = make_circuit(1);
-  const auto b = make_circuit(2);
-  const auto c = make_circuit(3);
-
-  auto& evictions =
-      telemetry::MetricsRegistry::global().gauge("serve.feature_cache.evictions");
-  const double evicted_before = evictions.value();
-
-  FeatureCache cache(/*max_entries=*/2);
-  const auto ea = cache.get(a, data::FeatureSet::All,
-                            data::StructureKind::Adjacency);
-  (void)cache.get(b, data::FeatureSet::All, data::StructureKind::Adjacency);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Touch `a` so `b` is now least recently used, then overflow with `c`.
-  (void)cache.get(a, data::FeatureSet::All, data::StructureKind::Adjacency);
-  (void)cache.get(c, data::FeatureSet::All, data::StructureKind::Adjacency);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(evictions.value(), evicted_before + 1.0);
-
-  // `a` survived the eviction (same shared entry), `b` did not (fresh build).
-  const auto ea2 = cache.get(a, data::FeatureSet::All,
-                             data::StructureKind::Adjacency);
-  EXPECT_EQ(ea2, ea);
-  const auto eb2 = cache.get(b, data::FeatureSet::All,
-                             data::StructureKind::Adjacency);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(evictions.value(), evicted_before + 2.0);
-  EXPECT_NE(eb2, nullptr);
-
-  // Shrinking the cap evicts down to fit; 0 lifts the bound again.
-  cache.set_max_entries(1);
-  EXPECT_EQ(cache.size(), 1u);
-  cache.set_max_entries(0);
-  (void)cache.get(a, data::FeatureSet::All, data::StructureKind::Adjacency);
-  (void)cache.get(b, data::FeatureSet::All, data::StructureKind::Adjacency);
-  (void)cache.get(c, data::FeatureSet::All, data::StructureKind::Adjacency);
-  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST_F(ServeTest, DeltaAnswersMatchTheFullPassAcrossCircuitsAndReloads) {
@@ -373,6 +305,74 @@ TEST_F(ServeTest, EngineReportsUnknownNamesAndBadSelections) {
       request_for({static_cast<GateId>(circuit_->size() + 5)}));
   EXPECT_EQ(out_of_range.status, RequestStatus::Error);
   EXPECT_NE(out_of_range.error.find("out of range"), std::string::npos);
+}
+
+TEST_F(ServeTest, CircuitTableBuildsOnePreparedStatePerCircuitAndSnapshot) {
+  const std::string gcn_path = temp_path("table_gcn.txt");
+  write_model(gcn_path, circuit_, 1, core::ModelVariant::Gcn);
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  registry.load("gcn", gcn_path);
+  EngineOptions options;
+  options.jobs = 4;
+  InferenceEngine engine(registry, options);
+  engine.register_circuit("default", circuit_);
+  EXPECT_EQ(engine.circuit("default"), circuit_);
+  EXPECT_EQ(engine.circuit("nope"), nullptr);
+
+  auto& metrics = telemetry::MetricsRegistry::global();
+  auto& hits = metrics.counter("serve.feature_cache.hits");
+  auto& misses = metrics.counter("serve.feature_cache.misses");
+  // Runs `count` predicts of `model`, all queued before any worker starts,
+  // and returns how many hit and how many missed.
+  const auto run = [&](const std::string& model, std::size_t count) {
+    const auto hits_before = hits.value();
+    const auto misses_before = misses.value();
+    engine.set_paused(true);
+    std::vector<std::future<PredictResult>> futures;
+    for (std::size_t i = 0; i < count; ++i) {
+      PredictRequest request = request_for({static_cast<GateId>(i + 1)});
+      request.model = model;
+      futures.push_back(engine.submit(std::move(request)));
+    }
+    engine.set_paused(false);
+    for (auto& future : futures) {
+      const auto result = future.get();
+      EXPECT_TRUE(result.ok()) << result.error;
+    }
+    return std::make_pair(hits.value() - hits_before,
+                          misses.value() - misses_before);
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;  // hits, misses
+
+  // 32 concurrent first predicts on a fresh circuit build its state once.
+  EXPECT_EQ(run("default", 32), (Counts{31, 1}));
+  EXPECT_EQ(run("default", 1), (Counts{1, 0}));
+  // A model of another variant needs its own structure and base.
+  EXPECT_EQ(run("gcn", 1), (Counts{0, 1}));
+  EXPECT_EQ(run("gcn", 1), (Counts{1, 0}));
+  // Registering the name again drops what was built for the old binding.
+  engine.register_circuit("default", circuit_);
+  EXPECT_EQ(run("default", 1), (Counts{0, 1}));
+}
+
+TEST_F(ServeTest, PredictsAppendNothingToTheFlightRecorder) {
+  // The 512-slot ring keeps log lines and progress edges for a post-mortem;
+  // served predicts must not turn it over.
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry);
+  engine.register_circuit("default", circuit_);
+  ASSERT_TRUE(engine.predict(request_for({1, 2})).ok());
+
+  const auto& recorder = telemetry::FlightRecorder::global();
+  ASSERT_TRUE(recorder.enabled());
+  const std::uint64_t before = recorder.total_appended();
+  for (GateId g = 0; g < 200; ++g) {
+    const auto result = engine.predict(request_for({g % 60 + 1}));
+    ASSERT_TRUE(result.ok()) << result.error;
+  }
+  EXPECT_EQ(recorder.total_appended(), before);
 }
 
 TEST_F(ServeTest, EngineStopAnswersQueuedWorkThenRejects) {

@@ -268,18 +268,5 @@ TEST(Heartbeat, WatchdogSkipsExemptJobs) {
   EXPECT_FALSE(any_line_contains(scoped.sink().lines(), "job stalled"));
 }
 
-TEST(TraceSpan, BoundariesLandInFlightRecorder) {
-  ASSERT_TRUE(FlightRecorder::global().enabled());
-  { TraceSpan span("unit/flight_span"); }
-  const auto records = FlightRecorder::global().snapshot();
-  bool found = false;
-  for (const auto& rec : records) {
-    if (rec.text.find("span unit/flight_span dur_us=") != std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 }  // namespace
 }  // namespace ic::telemetry

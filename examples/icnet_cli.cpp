@@ -83,6 +83,7 @@
 // subcommand, malformed flags); errors go to stderr.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -355,22 +356,43 @@ int cmd_predict(const Args& a) {
   return 0;
 }
 
-ic::serve::WireSearchParams search_params_from_args(const Args& a) {
-  ic::serve::WireSearchParams p;
-  p.budget = std::stoull(opt(a, "budget", "8"));
-  p.scheme = opt(a, "scheme", "lut4");
-  p.greedy_steps = std::stoull(opt(a, "greedy-steps", "16"));
-  p.sa_steps = std::stoull(opt(a, "sa-steps", "16"));
-  p.neighbors = std::stoull(opt(a, "neighbors", "8"));
-  p.top_k = std::stoull(opt(a, "top-k", "3"));
-  p.seed = std::stoull(opt(a, "seed", "1"));
-  p.area_weight = std::stod(opt(a, "area-weight", "0"));
-  p.depth_weight = std::stod(opt(a, "depth-weight", "0"));
-  p.sa_initial_temp = std::stod(opt(a, "sa-temp", "1.0"));
-  p.sa_cooling = std::stod(opt(a, "sa-cooling", "0.9"));
-  p.verify_max_conflicts =
-      std::stoull(opt(a, "verify-max-conflicts", "200000"));
-  return p;
+/// The search flags the user gave, as the wire's "search" object. Flags left
+/// out are left out of the object too, so SearchOptions' defaults apply, and
+/// ic::search::options_from_json checks the values alike in-process and on a
+/// server.
+ic::serve::JsonValue search_options_from_args(const Args& a) {
+  using ic::serve::JsonValue;
+  static const std::pair<const char*, const char*> kNumberFlags[] = {
+      {"budget", "budget"},
+      {"greedy-steps", "greedy_steps"},
+      {"sa-steps", "sa_steps"},
+      {"neighbors", "neighbors"},
+      {"top-k", "top_k"},
+      {"seed", "seed"},
+      {"area-weight", "area_weight"},
+      {"depth-weight", "depth_weight"},
+      {"sa-temp", "sa_initial_temp"},
+      {"sa-cooling", "sa_cooling"},
+      {"verify-max-conflicts", "verify_max_conflicts"}};
+  JsonValue search = JsonValue::object();
+  if (const auto it = a.options.find("scheme"); it != a.options.end()) {
+    search.set("scheme", JsonValue::string(it->second));
+  }
+  for (const auto& [flag, key] : kNumberFlags) {
+    const auto it = a.options.find(flag);
+    if (it == a.options.end()) continue;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    // A JSON number is finite: inf, nan and overflow are refused as well.
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value)) {
+      throw UsageError("--" + std::string(flag) + " needs a number, got '" +
+                       text + "'");
+    }
+    search.set(key, JsonValue::number(value));
+  }
+  return search;
 }
 
 void save_report(const ic::serve::JsonValue& doc, const std::string& path) {
@@ -420,7 +442,7 @@ void print_search_summary(const ic::serve::JsonValue& doc) {
 
 int cmd_search(const Args& a) {
   const std::string port = opt(a, "port", "");
-  const ic::serve::WireSearchParams params = search_params_from_args(a);
+  const ic::serve::JsonValue options = search_options_from_args(a);
   const std::string out_path = opt(a, "out", "");
 
   ic::serve::JsonValue report_doc;
@@ -435,7 +457,7 @@ int cmd_search(const Args& a) {
     request.model = opt(a, "model", "default");
     request.circuit = opt(a, "circuit", "default");
     request.request_id = opt(a, "request-id", "");
-    request.search = params;
+    request.search = options;
     const auto response = client.call(request);
     if (!response.ok) {
       std::fprintf(stderr, "error: %s (%s)\n", response.error.c_str(),
@@ -459,7 +481,7 @@ int cmd_search(const Args& a) {
     ic::search::SearchService service(engine);
     ic::serve::WireRequest request;
     request.op = "search";
-    request.search = params;
+    request.search = options;
     const auto report = service.run(request);
     engine.stop();
     report_doc = ic::search::report_to_json(report);

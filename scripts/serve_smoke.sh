@@ -8,7 +8,9 @@
 #   * {"op":"health"} reports ready,
 #   * {"op":"search"} (via `icnet_cli search --port`) completes a small
 #     policy search twice with byte-identical reports, batching its oracle
-#     calls (search_oracle_batches < search_oracle_calls),
+#     calls (search_oracle_batches < search_oracle_calls), and a search
+#     with an unknown scheme is answered as a search error carrying its id
+#     while the connection stays usable,
 #   * {"op":"stats","format":"prometheus"} parses and shows a
 #     serve_request_seconds histogram with a nonzero _count plus the
 #     search_* counters from the policy search and nonzero serve_stage_*
@@ -186,6 +188,30 @@ assert len(report.get("best_selection", [])) == 4, "bad best selection"
 print(f"OK: deterministic report, {calls} oracle calls in {batches} batches, "
       f"predicted {verified[0]['predicted_seconds']:.6f}s vs "
       f"actual {verified[0]['actual_seconds']:.6f}s")
+PY
+
+echo "== malformed search over the wire"
+python3 - "$PORT" <<'PY'
+import json, socket, sys
+
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=30)
+f = sock.makefile("rw")
+f.write(json.dumps({"op": "search", "id": 9,
+                    "search": {"scheme": "rot13"}}) + "\n")
+f.flush()
+bad = json.loads(f.readline())
+assert bad.get("op") == "search", f"not a search answer: {bad}"
+assert bad.get("id") == 9, f"id not echoed: {bad}"
+assert bad.get("ok") is False, f"malformed search accepted: {bad}"
+assert "unknown lock scheme 'rot13'" in bad.get("error", ""), \
+    f"wrong error: {bad}"
+f.write(json.dumps({"op": "ping", "id": 10}) + "\n")
+f.flush()
+pong = json.loads(f.readline())
+assert pong.get("ok") is True and pong.get("id") == 10, \
+    f"ping after the malformed search failed: {pong}"
+sock.close()
+print(f"OK: malformed search answered as a search error: {bad['error']}")
 PY
 
 echo "== dumping the profile capture"

@@ -40,7 +40,9 @@ class Netlist {
   /// Add a key input; it is appended to the key vector. Returns its id.
   GateId add_key_input(std::string name);
 
-  /// Add a logic gate (any kind except Input/KeyInput/Lut).
+  /// Add a logic gate (any kind except Input/KeyInput/Lut). Throws
+  /// std::runtime_error naming the gate on another kind, or on a fanin count
+  /// the kind does not take (1 for Buf/Not, at least 2 otherwise).
   GateId add_gate(GateKind kind, std::vector<GateId> fanins, std::string name);
 
   /// Add a LUT with a fixed truth table (2^fanins.size() bits).
@@ -49,7 +51,7 @@ class Netlist {
 
   /// Add a key-programmed LUT: its 2^fanins.size() truth bits are the key
   /// bits key_base .. key_base + 2^k - 1 (which must already exist as
-  /// KeyInput gates via add_key_input).
+  /// KeyInput gates via add_key_input; std::runtime_error otherwise).
   GateId add_key_lut(std::vector<GateId> fanins, std::int32_t key_base,
                      std::string name);
 

@@ -53,14 +53,19 @@ GateId Netlist::add_key_input(std::string name) {
 
 GateId Netlist::add_gate(GateKind kind, std::vector<GateId> fanins,
                          std::string name) {
-  IC_ASSERT_MSG(is_logic(kind) && kind != GateKind::Lut,
-                "add_gate is for plain logic kinds; got " << gate_kind_name(kind));
+  // Checked as input errors: parsers hand add_gate whatever a file says.
+  IC_CHECK(is_logic(kind) && kind != GateKind::Lut,
+           "gate '" << name << "' has kind " << gate_kind_name(kind)
+                    << "; only plain logic gates take fanins");
   if (kind == GateKind::Buf || kind == GateKind::Not) {
-    IC_ASSERT_MSG(fanins.size() == 1, "unary gate " << name << " needs 1 fanin");
+    IC_CHECK(fanins.size() == 1, "unary gate '" << name << "' ("
+                                                << gate_kind_name(kind)
+                                                << ") needs 1 fanin, got "
+                                                << fanins.size());
   } else {
-    IC_ASSERT_MSG(fanins.size() >= 2,
-                  "gate " << name << " (" << gate_kind_name(kind)
-                          << ") needs >=2 fanins, got " << fanins.size());
+    IC_CHECK(fanins.size() >= 2,
+             "gate '" << name << "' (" << gate_kind_name(kind)
+                      << ") needs >=2 fanins, got " << fanins.size());
   }
   Gate g;
   g.kind = kind;
@@ -86,11 +91,11 @@ GateId Netlist::add_key_lut(std::vector<GateId> fanins, std::int32_t key_base,
                             std::string name) {
   IC_ASSERT(!fanins.empty());
   const std::size_t bits = lut_rows(fanins.size(), name);
-  IC_ASSERT_MSG(key_base >= 0 &&
-                    static_cast<std::size_t>(key_base) + bits <= key_inputs_.size(),
-                "key LUT " << name << " references key bits ["
-                           << key_base << ", " << key_base + bits
-                           << ") but only " << key_inputs_.size() << " exist");
+  IC_CHECK(key_base >= 0 &&
+               static_cast<std::size_t>(key_base) + bits <= key_inputs_.size(),
+           "key LUT '" << name << "' references key bits [" << key_base << ", "
+                       << key_base + static_cast<std::int64_t>(bits)
+                       << ") but only " << key_inputs_.size() << " exist");
   Gate g;
   g.kind = GateKind::Lut;
   g.name = std::move(name);

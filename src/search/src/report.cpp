@@ -1,7 +1,9 @@
 #include "ic/search/report.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <type_traits>
 
 #include "ic/support/assert.hpp"
 
@@ -19,7 +21,12 @@ JsonValue selection_json(const std::vector<circuit::GateId>& selection) {
   return arr;
 }
 
-JsonValue options_json(const SearchOptions& options) {
+/// Largest magnitude up to which every integer is an exact double.
+constexpr double kMaxExact = 9.007199254740992e15;
+
+}  // namespace
+
+JsonValue options_to_json(const SearchOptions& options) {
   JsonValue obj = JsonValue::object();
   obj.set("budget", JsonValue::number(static_cast<double>(options.budget)));
   obj.set("scheme", JsonValue::string(scheme_name(options.scheme)));
@@ -39,7 +46,38 @@ JsonValue options_json(const SearchOptions& options) {
   return obj;
 }
 
-}  // namespace
+SearchOptions options_from_json(const JsonValue& doc) {
+  IC_CHECK(doc.is_object(), "the 'search' field must be a JSON object");
+  // Absent keys leave the default in place. A count the option cannot hold
+  // is an input error here, not undefined behaviour at the cast.
+  const auto count = [&doc](const char* key, auto& field) {
+    const JsonValue* v = doc.find(key);
+    if (v == nullptr) return;
+    const double x = v->as_number();
+    IC_CHECK(x >= 0 && x == std::floor(x) && x <= kMaxExact,
+             "search field '" << key << "' must be a non-negative integer");
+    field = static_cast<std::remove_reference_t<decltype(field)>>(x);
+  };
+  const auto number = [&doc](const char* key, double& field) {
+    if (const JsonValue* v = doc.find(key)) field = v->as_number();
+  };
+  SearchOptions o;
+  count("budget", o.budget);
+  if (const JsonValue* v = doc.find("scheme")) {
+    o.scheme = scheme_from_name(v->as_string());
+  }
+  count("greedy_steps", o.greedy_steps);
+  count("sa_steps", o.sa_steps);
+  count("neighbors", o.neighbors);
+  count("top_k", o.top_k);
+  count("seed", o.seed);
+  number("area_weight", o.objective.area_weight);
+  number("depth_weight", o.objective.depth_weight);
+  number("sa_initial_temp", o.sa_initial_temp);
+  number("sa_cooling", o.sa_cooling);
+  count("verify_max_conflicts", o.verify_max_conflicts);
+  return o;
+}
 
 JsonValue report_to_json(const SearchReport& report) {
   JsonValue doc = JsonValue::object();
@@ -48,7 +86,7 @@ JsonValue report_to_json(const SearchReport& report) {
   doc.set("circuit", JsonValue::string(report.circuit));
   doc.set("num_gates",
           JsonValue::number(static_cast<double>(report.num_gates)));
-  doc.set("options", options_json(report.options));
+  doc.set("options", options_to_json(report.options));
 
   JsonValue steps = JsonValue::array();
   for (const SearchStep& step : report.steps) {

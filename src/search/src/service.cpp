@@ -5,30 +5,15 @@
 #include "ic/search/report.hpp"
 #include "ic/support/assert.hpp"
 #include "ic/support/log.hpp"
-#include "ic/support/metrics.hpp"
 
 namespace ic::search {
 
 using serve::JsonValue;
 
-SearchOptions options_from_wire(const serve::WireSearchParams& params) {
-  SearchOptions options;
-  options.budget = static_cast<std::size_t>(params.budget);
-  options.scheme = scheme_from_name(params.scheme);
-  options.greedy_steps = static_cast<std::size_t>(params.greedy_steps);
-  options.sa_steps = static_cast<std::size_t>(params.sa_steps);
-  options.neighbors = static_cast<std::size_t>(params.neighbors);
-  options.top_k = static_cast<std::size_t>(params.top_k);
-  options.seed = params.seed;
-  options.objective.area_weight = params.area_weight;
-  options.objective.depth_weight = params.depth_weight;
-  options.sa_initial_temp = params.sa_initial_temp;
-  options.sa_cooling = params.sa_cooling;
-  options.verify_max_conflicts = params.verify_max_conflicts;
-  return options;
-}
-
 namespace {
+
+/// Searches queued beyond this many are rejected.
+constexpr std::size_t kMaxQueue = 8;
 
 std::string error_response(const serve::WireRequest& request,
                            const std::string& status,
@@ -47,9 +32,16 @@ std::string error_response(const serve::WireRequest& request,
 
 }  // namespace
 
-SearchService::SearchService(serve::InferenceEngine& engine,
-                             SearchServiceOptions options)
-    : engine_(engine), options_(options) {
+SearchService::SearchService(serve::InferenceEngine& engine)
+    : engine_(engine),
+      rejected_(telemetry::MetricsRegistry::global().counter("search.rejected")),
+      errors_(telemetry::MetricsRegistry::global().counter("search.errors")),
+      slow_requests_(
+          telemetry::MetricsRegistry::global().counter("search.slow_requests")),
+      queue_wait_seconds_(telemetry::MetricsRegistry::global().histogram(
+          "search.queue_wait_seconds")),
+      request_seconds_(telemetry::MetricsRegistry::global().histogram(
+          "search.request_seconds")) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -59,35 +51,54 @@ void SearchService::install(serve::Server& server) {
   server.register_op(
       "search", [this](const serve::WireRequest& request,
                        std::function<void(std::string)> respond) {
+        SearchOptions options;
+        try {
+          options = options_from_json(request.search);
+        } catch (const std::exception& e) {
+          respond(failed(request, e));
+          return;
+        }
         std::unique_lock<std::mutex> lock(mu_);
-        if (stopping_ || queue_.size() >= options_.max_queue) {
+        if (stopping_ || queue_.size() >= kMaxQueue) {
           const bool rejected = !stopping_;
           lock.unlock();
-          telemetry::MetricsRegistry::global()
-              .counter("search.rejected")
-              .add(1);
+          rejected_.add(1);
           respond(error_response(
               request, rejected ? "rejected" : "error",
               rejected ? "search queue is full" : "search service stopped"));
           return;
         }
-        queue_.push_back(
-            Job{request, std::move(respond), std::chrono::steady_clock::now()});
+        queue_.push_back(Job{request, options, std::move(respond),
+                             std::chrono::steady_clock::now()});
         lock.unlock();
         work_cv_.notify_one();
       });
 }
 
 SearchReport SearchService::run(const serve::WireRequest& request) {
+  return search(request, options_from_json(request.search));
+}
+
+SearchReport SearchService::search(const serve::WireRequest& request,
+                                   const SearchOptions& options) {
   const auto circuit = engine_.circuit(request.circuit);
   IC_CHECK(circuit != nullptr, "unknown circuit '" << request.circuit << "'");
   EngineOracle oracle(engine_, request.model, request.circuit);
-  return policy_search(*circuit, oracle, options_from_wire(request.search));
+  return policy_search(*circuit, oracle, options);
+}
+
+std::string SearchService::failed(const serve::WireRequest& request,
+                                  const std::exception& e) {
+  errors_.add(1);
+  ICLOG(warn) << "search request failed"
+              << telemetry::kv("request_id", request.request_id)
+              << telemetry::kv("error", e.what());
+  return error_response(request, "error", e.what());
 }
 
 std::string SearchService::handle_job(const Job& job) {
   try {
-    const SearchReport report = run(job.request);
+    const SearchReport report = search(job.request, job.options);
     JsonValue resp = JsonValue::object();
     if (job.request.has_id) {
       resp.set("id",
@@ -99,11 +110,7 @@ std::string SearchService::handle_job(const Job& job) {
     resp.set("request_id", JsonValue::string(job.request.request_id));
     return resp.dump();
   } catch (const std::exception& e) {
-    telemetry::MetricsRegistry::global().counter("search.errors").add(1);
-    ICLOG(warn) << "search request failed"
-                << telemetry::kv("request_id", job.request.request_id)
-                << telemetry::kv("error", e.what());
-    return error_response(job.request, "error", e.what());
+    return failed(job.request, e);
   }
 }
 
@@ -117,25 +124,23 @@ void SearchService::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    auto& metrics = telemetry::MetricsRegistry::global();
     const auto started = std::chrono::steady_clock::now();
     const double queue_wait =
         std::chrono::duration<double>(started - job.enqueued).count();
-    metrics.histogram("search.queue_wait_seconds").observe(queue_wait);
+    queue_wait_seconds_.observe(queue_wait);
     const std::string response = handle_job(job);
     const double search_time =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
             .count();
-    metrics.histogram("search.request_seconds").observe(queue_wait +
-                                                        search_time);
+    request_seconds_.observe(queue_wait + search_time);
     // Same --slow-ms policy as the predict path (the engine resolved the
     // option/env once); searches are orders of magnitude slower than
     // predicts, but the operator asked for one threshold on "a request".
     const std::int64_t slow_ms = engine_.slow_request_ms();
     if (slow_ms >= 0 && (queue_wait + search_time) * 1e3 >
                             static_cast<double>(slow_ms)) {
-      metrics.counter("search.slow_requests").add(1);
+      slow_requests_.add(1);
       ICLOG(warn) << "search.slow_request"
                   << telemetry::kv("request_id", job.request.request_id)
                   << telemetry::kv("circuit", job.request.circuit)

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "ic/serve/wire.hpp"
 
@@ -51,13 +50,6 @@ class Client {
 
   void send(const WireRequest& request);
   WireResponse receive();
-
-  /// Pipeline a whole batch: send every request before reading the first
-  /// response, then collect responses index-aligned with the input (the
-  /// server answers in request order per connection). One round trip of
-  /// latency for N requests.
-  std::vector<WireResponse> predict_batch(
-      const std::vector<WireRequest>& requests);
 
   WireResponse ping();
   /// Live metrics snapshot. `format` is "" / "json" for the JSON fields, or

@@ -46,8 +46,10 @@
 // serve.batch_size (one worker pop), serve.request_seconds (submit →
 // response) and serve.stage.<stage>_seconds (the request's timeline split:
 // queue and batch_admit before execution, feature_build/spmm/dense/readout
-// during it), spans serve/batch, serve/request (annotated with the
-// request_id) and serve/featurize (a prepared-state build). Requests slower
+// during it), and span serve/featurize (a prepared-state build). A request
+// is recorded once, by its timeline: bounded in the TraceStore
+// ({"op":"traces"}), aggregated in serve.stage.*; it opens no trace span of
+// its own, so `serve --trace-out` does not grow with traffic. Requests slower
 // end-to-end than the slow-request threshold (EngineOptions::
 // slow_request_ms, or the IC_SLOW_REQUEST_MS environment variable when the
 // option is left at -1) additionally emit one "serve.slow_request" warn log
@@ -108,8 +110,8 @@ struct PredictRequest {
   std::vector<circuit::GateId> selection;
   std::int64_t timeout_ms = -1;  ///< -1 = engine default
   /// End-to-end tracing id. Empty = submit() assigns "r-<n>"; the id is
-  /// echoed in the result, annotated on the serve/request trace span, and
-  /// printed by the slow-request log line.
+  /// echoed in the result, kept with the request's timeline in the
+  /// TraceStore, and printed by the slow-request log line.
   std::string request_id;
   /// Stage-attributed timeline. The server marks Accept/Parse before
   /// submitting; the engine marks Route/Queue/BatchAdmit/FeatureBuild/

@@ -143,6 +143,9 @@ class Server {
   /// as much as the socket accepts. Caller holds conn.mu.
   void flush_locked(Conn& conn);
   void wake_loop(std::size_t index);
+  /// A fresh "s-<n>" for a request that named no request_id; n counts from
+  /// 1 over every op the server answers itself or hands to a handler.
+  std::string assign_request_id();
   double uptime_seconds() const;
 
   InferenceEngine& engine_;

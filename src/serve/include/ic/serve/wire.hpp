@@ -15,7 +15,11 @@
 //   {"op":"search","search":{"budget":4,
 //    "scheme":"xor","greedy_steps":8,...}}           obfuscation policy search
 //                                                    (DESIGN.md §14); every
-//                                                    field optional
+//                                                    field optional. The
+//                                                    serving layer passes the
+//                                                    object through; the
+//                                                    search service validates
+//                                                    it (options_from_json)
 //   {"op":"ping"}                                    liveness probe
 //   {"op":"profile","action":"start",
 //    "seconds":5,"hz":99}                            arm the sampling profiler
@@ -37,7 +41,8 @@
 // "id", when present, is echoed back. Every response also carries a
 // "request_id" string — the client's, when the request named one, otherwise
 // one the server assigned — which is the key for correlating a wire request
-// with its trace span and any serve.slow_request log line (DESIGN.md §10).
+// with its {"op":"traces"} timeline and any slow-request log line
+// (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -91,24 +96,6 @@ class JsonValue {
 
 // ---- typed request/response -------------------------------------------------
 
-/// Parameters of an {"op":"search"} request, wire names matching the
-/// icnet_cli search flags. Defaults mirror ic::search::SearchOptions so an
-/// empty "search" object runs the stock search.
-struct WireSearchParams {
-  std::uint64_t budget = 8;
-  std::string scheme = "lut4";  ///< lut4 | xor | antisat
-  std::uint64_t greedy_steps = 16;
-  std::uint64_t sa_steps = 16;
-  std::uint64_t neighbors = 8;
-  std::uint64_t top_k = 3;
-  std::uint64_t seed = 1;
-  double area_weight = 0.0;
-  double depth_weight = 0.0;
-  double sa_initial_temp = 1.0;
-  double sa_cooling = 0.9;
-  std::uint64_t verify_max_conflicts = 200000;
-};
-
 struct WireRequest {
   std::string op = "predict";  ///< predict | search | ping | profile | traces
                                ///< | stats | health | shutdown
@@ -120,7 +107,9 @@ struct WireRequest {
   bool has_id = false;
   std::string request_id;  ///< tracing id; server-assigned when empty
   std::string format;      ///< stats only: "" (JSON fields) | "prometheus"
-  WireSearchParams search;  ///< search only
+  /// search only: the "search" object as sent. The serving layer only
+  /// checks that it is an object; ic::search::options_from_json reads it.
+  JsonValue search = JsonValue::object();
   std::string action;      ///< profile only: start | stop | dump
   double seconds = 0.0;    ///< profile start only: auto-stop deadline (0=none)
   std::int64_t hz = 0;     ///< profile start only: sample rate (0=default 99)
@@ -140,7 +129,8 @@ struct WireResponse {
 };
 
 /// Parse one request line. Throws std::runtime_error on malformed input
-/// (unknown op, wrong field types, trailing junk).
+/// (unknown op, wrong field types, trailing junk). A search's fields are
+/// not checked here, only that "search" is an object.
 WireRequest parse_request(const std::string& line);
 std::string encode_request(const WireRequest& request);
 

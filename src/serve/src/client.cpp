@@ -155,17 +155,6 @@ WireResponse Client::call(const WireRequest& request) {
   return receive();
 }
 
-std::vector<WireResponse> Client::predict_batch(
-    const std::vector<WireRequest>& requests) {
-  for (const WireRequest& request : requests) send(request);
-  std::vector<WireResponse> responses;
-  responses.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    responses.push_back(receive());
-  }
-  return responses;
-}
-
 WireResponse Client::ping() {
   WireRequest request;
   request.op = "ping";

@@ -222,8 +222,6 @@ std::vector<PredictResult> InferenceEngine::predict_batch(
 
 PredictResult InferenceEngine::process(Pending& pending) {
   const PredictRequest& request = pending.request;
-  telemetry::TraceSpan span("serve/request");
-  span.annotate("request_id", request.request_id);
   const auto started = Clock::now();
   const double queue_wait =
       std::chrono::duration<double>(started - pending.enqueued).count();
@@ -384,17 +382,14 @@ void InferenceEngine::worker_loop() {
     if (left > 0) work_cv_.notify_one();
     batches_.add(1);
     batch_size_.observe(static_cast<double>(popped.size()));
-    {
-      telemetry::TraceSpan span("serve/batch");
-      for (auto& pending : popped) {
-        PredictResult result = process(*pending);
-        const double total =
-            std::chrono::duration<double>(Clock::now() - pending->enqueued)
-                .count();
-        request_seconds_.observe(total);
-        finish_timeline(*pending, total);
-        pending->done(std::move(result));
-      }
+    for (auto& pending : popped) {
+      PredictResult result = process(*pending);
+      const double total =
+          std::chrono::duration<double>(Clock::now() - pending->enqueued)
+              .count();
+      request_seconds_.observe(total);
+      finish_timeline(*pending, total);
+      pending->done(std::move(result));
     }
     progress_.advance(popped.size());
     progress_.set_counters("queue_depth", left);

@@ -352,68 +352,6 @@ double in_range(const JsonValue& v, const char* field, double lo) {
   return x;
 }
 
-std::uint64_t as_count(const JsonValue& v, const char* field) {
-  const double x = v.as_number();
-  IC_CHECK(x >= 0 && x == std::floor(x) && x <= kMaxExact,
-           "search field '" << field << "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(x);
-}
-
-WireSearchParams parse_search_params(const JsonValue& doc) {
-  WireSearchParams p;
-  IC_CHECK(doc.is_object(), "the 'search' field must be a JSON object");
-  if (const JsonValue* v = doc.find("budget")) p.budget = as_count(*v, "budget");
-  if (const JsonValue* v = doc.find("scheme")) p.scheme = v->as_string();
-  IC_CHECK(p.scheme == "lut4" || p.scheme == "xor" || p.scheme == "antisat",
-           "unknown lock scheme '" << p.scheme << "' (lut4|xor|antisat)");
-  if (const JsonValue* v = doc.find("greedy_steps")) {
-    p.greedy_steps = as_count(*v, "greedy_steps");
-  }
-  if (const JsonValue* v = doc.find("sa_steps")) {
-    p.sa_steps = as_count(*v, "sa_steps");
-  }
-  if (const JsonValue* v = doc.find("neighbors")) {
-    p.neighbors = as_count(*v, "neighbors");
-  }
-  if (const JsonValue* v = doc.find("top_k")) p.top_k = as_count(*v, "top_k");
-  if (const JsonValue* v = doc.find("seed")) p.seed = as_count(*v, "seed");
-  if (const JsonValue* v = doc.find("area_weight")) {
-    p.area_weight = v->as_number();
-  }
-  if (const JsonValue* v = doc.find("depth_weight")) {
-    p.depth_weight = v->as_number();
-  }
-  if (const JsonValue* v = doc.find("sa_initial_temp")) {
-    p.sa_initial_temp = v->as_number();
-  }
-  if (const JsonValue* v = doc.find("sa_cooling")) {
-    p.sa_cooling = v->as_number();
-  }
-  if (const JsonValue* v = doc.find("verify_max_conflicts")) {
-    p.verify_max_conflicts = as_count(*v, "verify_max_conflicts");
-  }
-  return p;
-}
-
-JsonValue encode_search_params(const WireSearchParams& p) {
-  JsonValue doc = JsonValue::object();
-  doc.set("budget", JsonValue::number(static_cast<double>(p.budget)));
-  doc.set("scheme", JsonValue::string(p.scheme));
-  doc.set("greedy_steps",
-          JsonValue::number(static_cast<double>(p.greedy_steps)));
-  doc.set("sa_steps", JsonValue::number(static_cast<double>(p.sa_steps)));
-  doc.set("neighbors", JsonValue::number(static_cast<double>(p.neighbors)));
-  doc.set("top_k", JsonValue::number(static_cast<double>(p.top_k)));
-  doc.set("seed", JsonValue::number(static_cast<double>(p.seed)));
-  doc.set("area_weight", JsonValue::number(p.area_weight));
-  doc.set("depth_weight", JsonValue::number(p.depth_weight));
-  doc.set("sa_initial_temp", JsonValue::number(p.sa_initial_temp));
-  doc.set("sa_cooling", JsonValue::number(p.sa_cooling));
-  doc.set("verify_max_conflicts",
-          JsonValue::number(static_cast<double>(p.verify_max_conflicts)));
-  return doc;
-}
-
 }  // namespace
 
 WireRequest parse_request(const std::string& line) {
@@ -475,7 +413,8 @@ WireRequest parse_request(const std::string& line) {
   }
   if (req.op == "search") {
     if (const JsonValue* search = doc.find("search")) {
-      req.search = parse_search_params(*search);
+      IC_CHECK(search->is_object(), "the 'search' field must be a JSON object");
+      req.search = *search;
     }
   }
   return req;
@@ -500,7 +439,7 @@ std::string encode_request(const WireRequest& request) {
   if (request.op == "search") {
     doc.set("model", JsonValue::string(request.model));
     doc.set("circuit", JsonValue::string(request.circuit));
-    doc.set("search", encode_search_params(request.search));
+    doc.set("search", request.search);
   }
   if (request.op == "stats" && !request.format.empty()) {
     doc.set("format", JsonValue::string(request.format));

@@ -11,6 +11,11 @@
 // CLI does this for --trace-out), then write_chrome_json() emits a plain JSON
 // array of complete events (`"ph":"X"`, microsecond timestamps) that loads
 // directly in chrome://tracing or Perfetto.
+//
+// The collector keeps every span until clear(), so spans mark coarse phases
+// (an attack, a DIP, a model load, a prepared-state build). A path run once
+// per served request opens none: the request's Timeline (timeline.hpp) is
+// its record, bounded in a TraceStore.
 #pragma once
 
 #include <atomic>
@@ -18,7 +23,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ic::telemetry {
@@ -29,9 +33,6 @@ struct TraceEvent {
   std::int64_t ts_us = 0;   ///< begin, µs since the process telemetry epoch
   std::int64_t dur_us = 0;  ///< duration in µs
   std::uint64_t tid = 0;    ///< hashed std::thread::id
-  /// Key/value annotations, rendered as the Chrome event's "args" object —
-  /// how a serve request's request_id lands on its span.
-  std::vector<std::pair<std::string, std::string>> args;
 };
 
 /// Process-wide buffer of finished spans.
@@ -72,16 +73,10 @@ class TraceSpan {
   /// Close early (idempotent) — for spans that end mid-scope.
   void end();
 
-  /// Attach a key/value pair to the span (shows up under "args" in the
-  /// Chrome trace). No-op on an inactive span, so annotation in hot paths
-  /// costs nothing while collection is disabled.
-  void annotate(const char* key, std::string value);
-
  private:
   const char* name_;
   std::int64_t start_us_ = 0;
   bool active_ = false;  ///< recording into the trace collector
-  std::vector<std::pair<std::string, std::string>> args_;
 };
 
 }  // namespace ic::telemetry

@@ -16,10 +16,6 @@ std::uint64_t this_thread_id() {
       std::hash<std::thread::id>{}(std::this_thread::get_id()));
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << ic::json_quote(s);
-}
-
 }  // namespace
 
 TraceCollector& TraceCollector::global() {
@@ -49,21 +45,10 @@ void TraceCollector::write_chrome_json(std::ostream& os) const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& e = events_[i];
     os << (i ? ",\n " : "\n ");
-    os << "{\"name\": ";
-    write_escaped(os, e.name);
-    os << ", \"cat\": \"ic\", \"ph\": \"X\", \"ts\": " << e.ts_us
-       << ", \"dur\": " << e.dur_us << ", \"pid\": 1, \"tid\": " << e.tid % 100000;
-    if (!e.args.empty()) {
-      os << ", \"args\": {";
-      for (std::size_t a = 0; a < e.args.size(); ++a) {
-        if (a) os << ", ";
-        write_escaped(os, e.args[a].first);
-        os << ": ";
-        write_escaped(os, e.args[a].second);
-      }
-      os << "}";
-    }
-    os << "}";
+    os << "{\"name\": " << ic::json_quote(e.name)
+       << ", \"cat\": \"ic\", \"ph\": \"X\", \"ts\": " << e.ts_us
+       << ", \"dur\": " << e.dur_us << ", \"pid\": 1, \"tid\": " << e.tid % 100000
+       << "}";
   }
   os << "\n]\n";
 }
@@ -79,11 +64,6 @@ TraceSpan::TraceSpan(const char* name) : name_(name) {
   if (active_) start_us_ = process_micros();
 }
 
-void TraceSpan::annotate(const char* key, std::string value) {
-  if (!active_) return;
-  args_.emplace_back(key, std::move(value));
-}
-
 void TraceSpan::end() {
   if (!active_) return;
   active_ = false;
@@ -92,7 +72,6 @@ void TraceSpan::end() {
   event.ts_us = start_us_;
   event.dur_us = process_micros() - start_us_;
   event.tid = this_thread_id();
-  event.args = std::move(args_);
   TraceCollector::global().record(std::move(event));
 }
 

@@ -41,12 +41,21 @@ TEST(Netlist, DuplicateNameRejected) {
 }
 
 TEST(Netlist, ArityContractsEnforced) {
+  // Input errors, not contract violations: parsers pass add_gate what a file
+  // says, and the message names the gate.
   Netlist nl;
   const GateId a = nl.add_input("a");
   const GateId b = nl.add_input("b");
-  EXPECT_THROW(nl.add_gate(GateKind::And, {a}, "bad_and"), std::logic_error);
-  EXPECT_THROW(nl.add_gate(GateKind::Not, {a, b}, "bad_not"), std::logic_error);
-  EXPECT_THROW(nl.add_gate(GateKind::Input, {}, "bad_kind"), std::logic_error);
+  EXPECT_THROW(nl.add_gate(GateKind::And, {a}, "bad_and"), std::runtime_error);
+  EXPECT_THROW(nl.add_gate(GateKind::Not, {a, b}, "bad_not"),
+               std::runtime_error);
+  try {
+    nl.add_gate(GateKind::Input, {}, "bad_kind");
+    ADD_FAILURE() << "add_gate accepted an INPUT kind";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad_kind"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Netlist, TopologicalOrderRespectsFanins) {

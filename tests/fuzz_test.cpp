@@ -4,9 +4,13 @@
 // ASan/UBSan too. A parser passes when every call returns or throws a
 // std::exception; a crash, a sanitizer report or a hang fails the target.
 //
-// Targets: the JSON wire parser (parse_request, parse_response), the .bench
-// netlist parser (circuit::parse_bench), the selection parser
-// (search::parse_selection) and the model loader (core::load_model).
+// Targets: the JSON wire parser (parse_request, parse_response), the search
+// options reader (search::options_from_json, which checks what the wire
+// passes through), the .bench and Verilog netlist parsers
+// (circuit::parse_bench, circuit::parse_verilog), the selection parser
+// (search::parse_selection) and the model loader (core::load_model). The
+// netlist parsers must throw std::runtime_error, the input-error class, and
+// never std::logic_error, which the library keeps for its own bugs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +22,10 @@
 
 #include "ic/circuit/bench_io.hpp"
 #include "ic/circuit/generator.hpp"
+#include "ic/circuit/verilog_io.hpp"
 #include "ic/core/model_io.hpp"
 #include "ic/data/features.hpp"
+#include "ic/search/report.hpp"
 #include "ic/search/selection.hpp"
 #include "ic/serve/wire.hpp"
 
@@ -29,6 +35,24 @@ namespace {
 constexpr std::uint64_t kSeed = 20201;
 constexpr int kIterations = 20000;
 constexpr std::size_t kMaxRun = 100000;
+
+/// Every search option away from its default.
+search::SearchOptions search_options() {
+  search::SearchOptions options;
+  options.budget = 4;
+  options.scheme = search::LockScheme::Xor;
+  options.greedy_steps = 8;
+  options.sa_steps = 5;
+  options.neighbors = 6;
+  options.top_k = 2;
+  options.seed = 9;
+  options.objective.area_weight = 0.25;
+  options.objective.depth_weight = 0.5;
+  options.sa_initial_temp = 2.5;
+  options.sa_cooling = 0.75;
+  options.verify_max_conflicts = 1000;
+  return options;
+}
 
 /// encode_request of requests that together use every op and every field,
 /// plus one predict answer so parse_response meets its own fields.
@@ -46,18 +70,7 @@ std::vector<std::string> wire_corpus() {
 
   WireRequest search;
   search.op = "search";
-  search.search.budget = 4;
-  search.search.scheme = "xor";
-  search.search.greedy_steps = 8;
-  search.search.sa_steps = 5;
-  search.search.neighbors = 6;
-  search.search.top_k = 2;
-  search.search.seed = 9;
-  search.search.area_weight = 0.25;
-  search.search.depth_weight = 0.5;
-  search.search.sa_initial_temp = 2.5;
-  search.search.sa_cooling = 0.75;
-  search.search.verify_max_conflicts = 1000;
+  search.search = search::options_to_json(search_options());
   search.request_id = "s-1";
   requests.push_back(search);
 
@@ -185,8 +198,9 @@ TEST(WireFuzz, NestingPastTheLimitIsAParseError) {
 }
 
 /// Feeds `iterations` mutants of `corpus` to `parse`, which must return or
-/// throw a std::exception, and checks that both outcomes occur.
-template <typename Parse>
+/// throw an `Error`, and checks that both outcomes occur. Any other exception
+/// escapes and fails the test.
+template <typename Error = std::exception, typename Parse>
 void fuzz(const std::vector<std::string>& corpus,
           const std::vector<std::string>& runs, std::size_t max_run,
           int iterations, Parse parse) {
@@ -199,12 +213,42 @@ void fuzz(const std::vector<std::string>& corpus,
     try {
       parse(input);
       ++accepted;
-    } catch (const std::exception&) {
+    } catch (const Error&) {
       ++rejected;
     }
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+/// `parse(text)` throws std::runtime_error naming `gate` in quotes.
+template <typename Parse>
+void expect_input_error(Parse parse, const std::string& text,
+                        const std::string& gate) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "parsed:\n" << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + gate + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- search options ---------------------------------------------------------
+
+TEST(SearchOptionsFuzz, MutatedOptionsReturnOrThrow) {
+  // The wire hands the "search" object through unchecked, so options_from_json
+  // is what stands between a peer and the casts to the option types.
+  const std::vector<std::string> corpus = {
+      search::options_to_json(search_options()).dump(), "{}",
+      R"({"budget":8,"scheme":"lut4"})"};
+  for (const std::string& text : corpus) {
+    EXPECT_NO_THROW(search::options_from_json(JsonValue::parse(text))) << text;
+  }
+  fuzz(corpus, {"9", "-", ".", "e"}, 400, kIterations,
+       [](const std::string& text) {
+         search::options_from_json(JsonValue::parse(text));
+       });
 }
 
 // ---- .bench ----------------------------------------------------------------
@@ -233,8 +277,22 @@ TEST(BenchFuzz, SeedCorpusParses) {
 
 TEST(BenchFuzz, MutatedNetlistsReturnOrThrow) {
   // Runs of fanins make LUT and KLUT lines as wide as the parser must bound.
-  fuzz(bench_corpus(), {", a", ", x", "\n", "("}, 200, kIterations,
-       [](const std::string& text) { circuit::parse_bench(text); });
+  fuzz<std::runtime_error>(
+      bench_corpus(), {", a", ", x", "\n", "("}, 200, kIterations,
+      [](const std::string& text) { circuit::parse_bench(text); });
+}
+
+TEST(BenchFuzz, MalformedGatesAreInputErrorsNamingTheGate) {
+  const auto parse = [](const std::string& text) {
+    circuit::parse_bench(text);
+  };
+  const std::string header = "INPUT(a)\nINPUT(b)\nOUTPUT(o)\n";
+  expect_input_error(parse, header + "o = NOT(a, b)\n", "o");
+  expect_input_error(parse, header + "o = AND(a)\n", "o");
+  expect_input_error(parse, header + "o = INPUT(a, b)\n", "o");
+  // Two fanins take 4 key bits; there is one key input.
+  expect_input_error(
+      parse, "INPUT(keyinput0)\n" + header + "o = KLUT 0 (a, b)\n", "o");
 }
 
 TEST(BenchFuzz, LutFaninsAreBoundedBeforeAnyShift) {
@@ -252,6 +310,51 @@ TEST(BenchFuzz, LutFaninsAreBoundedBeforeAnyShift) {
   EXPECT_THROW(circuit::parse_bench(lut("LUT 0x6", 7)), std::runtime_error);
   EXPECT_THROW(circuit::parse_bench(lut("LUT 0x6", 64)), std::runtime_error);
   EXPECT_THROW(circuit::parse_bench(lut("KLUT 0", 64)), std::runtime_error);
+}
+
+// ---- Verilog ----------------------------------------------------------------
+
+/// write_verilog of a generated circuit, plus named and unnamed instances
+/// behind both comment styles.
+std::vector<std::string> verilog_corpus() {
+  circuit::GeneratorSpec spec;
+  spec.num_inputs = 6;
+  spec.num_outputs = 3;
+  spec.num_gates = 24;
+  spec.seed = 5;
+  return {circuit::write_verilog(circuit::generate_circuit(spec, "fuzz")),
+          "// hand-written\n"
+          "module m (a, b, c, keyinput0, y, z);\n"
+          "  input a, b, c, keyinput0;\n"
+          "  output y, z;\n"
+          "  wire w, x; /* internal */\n"
+          "  nand g1 (w, a, b);\n"
+          "  not (x, w);\n"
+          "  xor g2 (y, x, keyinput0);\n"
+          "  buf (z, c);\n"
+          "endmodule\n"};
+}
+
+TEST(VerilogFuzz, SeedCorpusParses) {
+  for (const std::string& text : verilog_corpus()) {
+    EXPECT_NO_THROW(circuit::parse_verilog(text)) << text;
+  }
+}
+
+TEST(VerilogFuzz, MutatedModulesReturnOrThrow) {
+  // Runs of terminals widen instances; runs of ';' and '(' split and nest
+  // statements.
+  fuzz<std::runtime_error>(
+      verilog_corpus(), {", a", ", w", ";", "("}, 200, kIterations,
+      [](const std::string& text) { circuit::parse_verilog(text); });
+}
+
+TEST(VerilogFuzz, MalformedGatesAreInputErrorsNamingTheGate) {
+  expect_input_error(
+      [](const std::string& text) { circuit::parse_verilog(text); },
+      "module m (a, c, o);\n  input a, c;\n  output o;\n"
+      "  buf b1 (o, a, c);\nendmodule\n",
+      "o");
 }
 
 // ---- selections -------------------------------------------------------------

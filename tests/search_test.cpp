@@ -1,6 +1,7 @@
 // Policy-search coverage (DESIGN.md §14): shared selection parsing, the
 // fitness oracle and its batching proof, greedy+SA determinism at any jobs,
-// objective penalties, report rendering, and the {"op":"search"} wire path
+// objective penalties, report rendering, the one options format
+// (options_to_json / options_from_json), and the {"op":"search"} wire path
 // matching the in-process path byte for byte.
 #include <gtest/gtest.h>
 
@@ -297,92 +298,86 @@ TEST(SearchWire, RequestRoundTripsThroughEncodeAndParse) {
   serve::WireRequest request;
   request.op = "search";
   request.circuit = "c";
-  request.search.budget = 5;
-  request.search.scheme = "antisat";
-  request.search.sa_cooling = 0.75;
-  request.search.seed = 99;
+  request.search.set("budget", serve::JsonValue::number(5));
+  request.search.set("scheme", serve::JsonValue::string("antisat"));
+  request.search.set("sa_cooling", serve::JsonValue::number(0.75));
+  request.search.set("seed", serve::JsonValue::number(99));
   const serve::WireRequest parsed =
       serve::parse_request(serve::encode_request(request));
   EXPECT_EQ(parsed.op, "search");
   EXPECT_EQ(parsed.circuit, "c");
-  EXPECT_EQ(parsed.search.budget, 5u);
-  EXPECT_EQ(parsed.search.scheme, "antisat");
-  EXPECT_EQ(parsed.search.sa_cooling, 0.75);
-  EXPECT_EQ(parsed.search.seed, 99u);
-  // Unset fields keep their defaults.
-  EXPECT_EQ(parsed.search.greedy_steps, 16u);
-  EXPECT_EQ(parsed.search.verify_max_conflicts, 200000u);
+  EXPECT_EQ(parsed.search.dump(), request.search.dump());
+  // A search without a "search" object carries an empty one.
+  EXPECT_EQ(serve::parse_request(R"({"op":"search"})").search.dump(), "{}");
+}
+
+TEST(SearchWire, OptionsRoundTripThroughJson) {
+  SearchOptions options;
+  options.budget = 4;
+  options.scheme = LockScheme::Xor;
+  options.greedy_steps = 2;
+  options.sa_steps = 5;
+  options.neighbors = 6;
+  options.top_k = 1;
+  options.seed = 11;
+  options.objective.area_weight = 0.25;
+  options.objective.depth_weight = 0.125;
+  options.sa_initial_temp = 2.0;
+  options.sa_cooling = 0.5;
+  options.verify_max_conflicts = 1234;
+  const SearchOptions back = options_from_json(options_to_json(options));
+  EXPECT_EQ(back.budget, 4u);
+  EXPECT_EQ(back.scheme, LockScheme::Xor);
+  EXPECT_EQ(back.greedy_steps, 2u);
+  EXPECT_EQ(back.sa_steps, 5u);
+  EXPECT_EQ(back.neighbors, 6u);
+  EXPECT_EQ(back.top_k, 1u);
+  EXPECT_EQ(back.seed, 11u);
+  EXPECT_EQ(back.objective.area_weight, 0.25);
+  EXPECT_EQ(back.objective.depth_weight, 0.125);
+  EXPECT_EQ(back.sa_initial_temp, 2.0);
+  EXPECT_EQ(back.sa_cooling, 0.5);
+  EXPECT_EQ(back.verify_max_conflicts, 1234u);
+  EXPECT_EQ(options_to_json(back).dump(), options_to_json(options).dump());
+
+  // Absent keys keep their defaults.
+  const SearchOptions partial = options_from_json(
+      serve::JsonValue::parse(R"({"budget":5,"scheme":"antisat"})"));
+  EXPECT_EQ(partial.budget, 5u);
+  EXPECT_EQ(partial.scheme, LockScheme::AntiSat);
+  EXPECT_EQ(partial.greedy_steps, 16u);
+  EXPECT_EQ(partial.verify_max_conflicts, 200000u);
+  const SearchOptions empty = options_from_json(serve::JsonValue::object());
+  EXPECT_EQ(options_to_json(empty).dump(),
+            options_to_json(SearchOptions{}).dump());
 }
 
 TEST(SearchWire, ParserRejectsBadParams) {
-  EXPECT_THROW(serve::parse_request(R"({"op":"search","search":{"scheme":"rot13"}})"),
-               std::runtime_error);
-  EXPECT_THROW(serve::parse_request(R"({"op":"search","search":{"budget":-3}})"),
-               std::runtime_error);
+  // The wire only checks that "search" is an object; its fields are the
+  // search service's to check.
   EXPECT_THROW(serve::parse_request(R"({"op":"search","search":[1]})"),
                std::runtime_error);
-}
-
-TEST(SearchWire, OptionsFromWireMapsEveryField) {
-  serve::WireSearchParams params;
-  params.budget = 4;
-  params.scheme = "xor";
-  params.greedy_steps = 2;
-  params.sa_steps = 5;
-  params.neighbors = 6;
-  params.top_k = 1;
-  params.seed = 11;
-  params.area_weight = 0.25;
-  params.depth_weight = 0.125;
-  params.sa_initial_temp = 2.0;
-  params.sa_cooling = 0.5;
-  params.verify_max_conflicts = 1234;
-  const SearchOptions options = options_from_wire(params);
-  EXPECT_EQ(options.budget, 4u);
-  EXPECT_EQ(options.scheme, LockScheme::Xor);
-  EXPECT_EQ(options.greedy_steps, 2u);
-  EXPECT_EQ(options.sa_steps, 5u);
-  EXPECT_EQ(options.neighbors, 6u);
-  EXPECT_EQ(options.top_k, 1u);
-  EXPECT_EQ(options.seed, 11u);
-  EXPECT_EQ(options.objective.area_weight, 0.25);
-  EXPECT_EQ(options.objective.depth_weight, 0.125);
-  EXPECT_EQ(options.sa_initial_temp, 2.0);
-  EXPECT_EQ(options.sa_cooling, 0.5);
-  EXPECT_EQ(options.verify_max_conflicts, 1234u);
-}
-
-TEST_F(SearchTest, ClientPredictBatchPipelinesInOrder) {
-  serve::ModelRegistry registry;
-  registry.load("default", model_path_);
-  serve::InferenceEngine engine(registry);
-  engine.register_circuit("default", circuit_);
-  serve::Server server(engine, registry);
-  server.start();
-
-  serve::Client client("127.0.0.1", server.port());
-  std::vector<serve::WireRequest> requests;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    serve::WireRequest request;
-    request.op = "predict";
-    request.select = {i + 1, i + 10};
-    request.id = i;
-    request.has_id = true;
-    requests.push_back(std::move(request));
-  }
-  const auto responses = client.predict_batch(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok) << responses[i].error;
-    EXPECT_EQ(responses[i].id, requests[i].id) << "responses out of order";
-    serve::PredictRequest direct;
-    direct.selection = {requests[i].select[0], requests[i].select[1]};
-    EXPECT_EQ(responses[i].log_runtime,
-              engine.predict(std::move(direct)).log_runtime);
-  }
-  client.close();
-  server.shutdown();
-  engine.stop();
+  EXPECT_NO_THROW(
+      serve::parse_request(R"({"op":"search","search":{"scheme":"rot13"}})"));
+  const auto rejects = [](const char* search, const char* message) {
+    try {
+      options_from_json(serve::JsonValue::parse(search));
+      ADD_FAILURE() << "accepted " << search;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(R"({"scheme":"rot13"})", "unknown lock scheme 'rot13'");
+  rejects(R"({"budget":-3})",
+          "search field 'budget' must be a non-negative integer");
+  rejects(R"({"top_k":1.5})",
+          "search field 'top_k' must be a non-negative integer");
+  rejects(R"({"seed":9007199254740994})",
+          "search field 'seed' must be a non-negative integer");
+  rejects(R"({"sa_cooling":"fast"})", "not a number");
+  rejects(R"({"scheme":4})", "not a string");
+  rejects("[1]", "the 'search' field must be a JSON object");
 }
 
 TEST_F(SearchTest, WireSearchMatchesInProcessByteForByte) {
@@ -397,16 +392,18 @@ TEST_F(SearchTest, WireSearchMatchesInProcessByteForByte) {
   service.install(server);
   server.start();
 
+  SearchOptions options;
+  options.budget = 3;
+  options.scheme = LockScheme::Xor;
+  options.greedy_steps = 2;
+  options.sa_steps = 2;
+  options.neighbors = 3;
+  options.top_k = 1;
+  options.seed = 7;
+  options.verify_max_conflicts = 20000;
   serve::WireRequest request;
   request.op = "search";
-  request.search.budget = 3;
-  request.search.scheme = "xor";
-  request.search.greedy_steps = 2;
-  request.search.sa_steps = 2;
-  request.search.neighbors = 3;
-  request.search.top_k = 1;
-  request.search.seed = 7;
-  request.search.verify_max_conflicts = 20000;
+  request.search = options_to_json(options);
 
   serve::Client client("127.0.0.1", server.port());
   const auto response = client.call(request);
@@ -441,17 +438,19 @@ TEST_F(SearchTest, SearchResponsesEchoRequestIdsAndCountSlowRequests) {
   const auto timed_before =
       metrics.histogram("search.request_seconds").count();
 
+  SearchOptions options;
+  options.budget = 2;
+  options.scheme = LockScheme::Xor;
+  options.greedy_steps = 1;
+  options.sa_steps = 1;
+  options.neighbors = 2;
+  options.top_k = 1;
+  options.seed = 3;
+  options.verify_max_conflicts = 20000;
   serve::WireRequest request;
   request.op = "search";
   request.request_id = "search-trace-42";
-  request.search.budget = 2;
-  request.search.scheme = "xor";
-  request.search.greedy_steps = 1;
-  request.search.sa_steps = 1;
-  request.search.neighbors = 2;
-  request.search.top_k = 1;
-  request.search.seed = 3;
-  request.search.verify_max_conflicts = 20000;
+  request.search = options_to_json(options);
 
   serve::Client client("127.0.0.1", server.port());
   const auto response = client.call(request);
@@ -473,6 +472,60 @@ TEST_F(SearchTest, SearchResponsesEchoRequestIdsAndCountSlowRequests) {
             slow_before + 2);
   EXPECT_GE(metrics.histogram("search.request_seconds").count(),
             timed_before + 2);
+
+  client.close();
+  server.shutdown();
+  service.stop();
+  engine.stop();
+}
+
+TEST_F(SearchTest, MalformedSearchIsAnsweredAtAdmissionWithItsId) {
+  serve::ModelRegistry registry;
+  registry.load("default", model_path_);
+  serve::InferenceEngine engine(registry);
+  engine.register_circuit("default", circuit_);
+  SearchService service(engine);
+  serve::Server server(engine, registry);
+  service.install(server);
+  server.start();
+
+  auto& metrics = telemetry::MetricsRegistry::global();
+  const auto errors_before = metrics.counter("search.errors").value();
+  const auto wire_errors_before = metrics.counter("serve.wire_errors").value();
+  const auto queued_before =
+      metrics.histogram("search.queue_wait_seconds").count();
+
+  serve::Client client("127.0.0.1", server.port());
+  serve::WireRequest request = serve::parse_request(
+      R"({"op":"search","id":9,"search":{"scheme":"rot13"}})");
+  const auto response = client.call(request);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.status, "error");
+  ASSERT_TRUE(response.has_id);
+  EXPECT_EQ(response.id, 9u);
+  EXPECT_EQ(response.raw.find("op")->as_string(), "search");
+  EXPECT_FALSE(response.request_id.empty());
+  EXPECT_NE(response.error.find("unknown lock scheme 'rot13'"),
+            std::string::npos)
+      << response.error;
+  // A search error, not a wire error, and never queued.
+  EXPECT_EQ(metrics.counter("search.errors").value(), errors_before + 1);
+  EXPECT_EQ(metrics.counter("serve.wire_errors").value(), wire_errors_before);
+  EXPECT_EQ(metrics.histogram("search.queue_wait_seconds").count(),
+            queued_before);
+  EXPECT_TRUE(client.ping().ok);
+
+  // The in-process path refuses the same options with the same message.
+  request.search = serve::JsonValue::parse(R"({"budget":-3})");
+  try {
+    service.run(request);
+    ADD_FAILURE() << "run() accepted a negative budget";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "search field 'budget' must be a non-negative integer");
+  }
+  EXPECT_EQ(client.call(request).error,
+            "search field 'budget' must be a non-negative integer");
 
   client.close();
   server.shutdown();

@@ -25,6 +25,7 @@
 #include "ic/serve/serve.hpp"
 #include "ic/support/flight_recorder.hpp"
 #include "ic/support/metrics.hpp"
+#include "ic/support/trace.hpp"
 
 namespace ic::serve {
 namespace {
@@ -375,6 +376,29 @@ TEST_F(ServeTest, PredictsAppendNothingToTheFlightRecorder) {
   EXPECT_EQ(recorder.total_appended(), before);
 }
 
+TEST_F(ServeTest, PredictsAddNoTraceEvents) {
+  // A request is recorded once, by its timeline (bounded in the TraceStore);
+  // under `serve --trace-out` served predicts must not grow the collector,
+  // which keeps every span it is given.
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry);
+  engine.register_circuit("default", circuit_);
+  auto& collector = telemetry::TraceCollector::global();
+  collector.set_enabled(true);
+  const bool warm = engine.predict(request_for({1, 2})).ok();
+  const std::size_t before = collector.size();
+  for (GateId g = 0; g < 200; ++g) {
+    const auto result = engine.predict(request_for({g % 60 + 1}));
+    EXPECT_TRUE(result.ok()) << result.error;
+  }
+  const std::size_t after = collector.size();
+  collector.set_enabled(false);
+  collector.clear();
+  ASSERT_TRUE(warm);
+  EXPECT_EQ(after, before);
+}
+
 TEST_F(ServeTest, EngineStopAnswersQueuedWorkThenRejects) {
   ModelRegistry registry;
   registry.load("default", model_path_);
@@ -610,6 +634,40 @@ TEST_F(ServeTest, RequestIdsAreEchoedAndAssigned) {
   direct.request_id.clear();
   EXPECT_FALSE(engine.predict(direct).request_id.empty());
 
+  server.shutdown();
+  engine.stop();
+}
+
+TEST_F(ServeTest, ServerAssignedRequestIdsAreUniqueAcrossOps) {
+  // Handler ops and admin ops take ids from one counter, numbered from 1.
+  ModelRegistry registry;
+  registry.load("default", model_path_);
+  InferenceEngine engine(registry);
+  engine.register_circuit("default", circuit_);
+  Server server(engine, registry);
+  server.register_op(
+      "search", [](const WireRequest& request,
+                   std::function<void(std::string)> respond) {
+        JsonValue resp = JsonValue::object();
+        resp.set("op", JsonValue::string("search"));
+        resp.set("ok", JsonValue::boolean(true));
+        resp.set("request_id", JsonValue::string(request.request_id));
+        respond(resp.dump());
+      });
+  server.start();
+
+  Client client("127.0.0.1", server.port());
+  std::vector<std::string> ids;
+  for (const char* op : {"search", "ping", "search", "ping"}) {
+    WireRequest request;
+    request.op = op;
+    const auto response = client.call(request);
+    EXPECT_TRUE(response.ok) << response.error;
+    ids.push_back(response.request_id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"s-1", "s-2", "s-3", "s-4"}));
+
+  client.close();
   server.shutdown();
   engine.stop();
 }

@@ -207,8 +207,6 @@ int cmd_lock(const Args& a) {
   return 0;
 }
 
-ic::core::RuntimeEstimator open_estimator(const std::string& path);
-
 /// The obfuscated sites of a locked netlist, as seen from the attacker's
 /// side: key-programmed LUTs plus ordinary gates fed by a key input. This is
 /// the attack-time stand-in for the dataset's locked-gate selection.
@@ -237,7 +235,7 @@ int cmd_attack(const Args& a) {
   options.max_conflicts = std::stoull(opt(a, "max-conflicts", "0"));
   const std::string model = opt(a, "model", "");
   if (!model.empty()) {
-    auto estimator = open_estimator(model);
+    auto estimator = ic::core::RuntimeEstimator::from_file(model);
     estimator.set_circuit(locked);
     const auto selection = key_gate_selection(locked);
     IC_CHECK(!selection.empty(), "locked netlist has no key-driven gates");
@@ -303,21 +301,10 @@ int cmd_train(const Args& a) {
 using ic::search::check_selection;
 using ic::search::parse_selection;
 
-/// v2 model files rebuild the estimator from their header; v1 files can only
-/// be read into the historical default architecture.
-ic::core::RuntimeEstimator open_estimator(const std::string& path) {
-  if (ic::core::read_model_spec(path).version >= 2) {
-    return ic::core::RuntimeEstimator::from_file(path);
-  }
-  ic::core::RuntimeEstimator estimator;
-  estimator.load(path);
-  return estimator;
-}
-
 int cmd_predict(const Args& a) {
   IC_CHECK(a.positional.size() == 2, "predict needs <circuit.bench> <in.model>");
   const auto circuit = ic::circuit::read_bench_file(a.positional[0]);
-  auto estimator = open_estimator(a.positional[1]);
+  auto estimator = ic::core::RuntimeEstimator::from_file(a.positional[1]);
   estimator.set_circuit(circuit);
 
   const std::string select = opt(a, "select", "");
@@ -717,12 +704,7 @@ int main(int argc, char** argv) {
     if (flusher != nullptr) {
       flusher->stop();  // joins the thread and writes the final snapshot
     } else if (!metrics_out.empty()) {
-      if (metrics_out.size() >= 5 &&
-          metrics_out.compare(metrics_out.size() - 5, 5, ".prom") == 0) {
-        ic::telemetry::dump_prometheus(metrics_out);
-      } else {
-        ic::telemetry::dump_metrics(metrics_out);
-      }
+      ic::telemetry::dump_metrics(metrics_out);
     }
   };
   try {

@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
   std::printf("model trained (%zu epochs) and saved to %s\n", report.epochs_run,
               model_path.c_str());
 
-  // A "different process": a fresh estimator object loads the parameters.
-  ic::core::RuntimeEstimator deployed(eopt);
-  deployed.load(model_path);
+  // A "different process": the file alone rebuilds the estimator.
+  auto deployed = ic::core::RuntimeEstimator::from_file(model_path);
   deployed.set_circuit(circuit);
   const auto sel = ic::locking::select_gates(
       circuit, 6, ic::locking::SelectionPolicy::Random, 9);

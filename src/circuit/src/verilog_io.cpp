@@ -55,7 +55,6 @@ bool is_key_name(std::string_view name) {
 
 struct Instance {
   GateKind kind;
-  std::string name;
   std::vector<std::string> terminals;  // [0] = output
 };
 
@@ -108,17 +107,18 @@ Netlist parse_verilog(std::string_view raw) {
       }
       IC_CHECK(is_logic(kind) && kind != GateKind::Lut,
                "verilog parse error: '" << head << "' is not a gate primitive");
+      // The instance name is optional: it is whatever stands between the
+      // primitive and '('.
+      const std::size_t open = stmt.find('(');
+      const std::size_t prefix =
+          split(std::string_view(stmt).substr(0, open), " \t\r\n(),").size();
+      IC_CHECK(open != std::string::npos && (prefix == 1 || prefix == 2),
+               "verilog parse error: '" << stmt
+                                        << "' is not 'kind [name] (out, in...)'");
       Instance inst;
       inst.kind = kind;
-      // The instance name is optional in the subset; detect it by arity:
-      // with a name, tokens = kind, name, out, ins... (>= 4 for unary).
+      inst.terminals = split(std::string_view(stmt).substr(open), " \t\r\n(),");
       const std::size_t min_terms = (kind == GateKind::Not || kind == GateKind::Buf) ? 2 : 3;
-      if (tokens.size() >= min_terms + 2) {
-        inst.name = tokens[1];
-        inst.terminals.assign(tokens.begin() + 2, tokens.end());
-      } else {
-        inst.terminals.assign(tokens.begin() + 1, tokens.end());
-      }
       IC_CHECK(inst.terminals.size() >= min_terms,
                "verilog parse error: '" << stmt << "' has too few terminals");
       instances.push_back(std::move(inst));

@@ -42,6 +42,19 @@ struct EstimatorOptions {
 /// featurizes circuits without going through a RuntimeEstimator).
 data::StructureKind structure_kind_for(ModelVariant variant);
 
+/// The convolution a variant runs.
+struct Convolution {
+  nn::ConvMode mode;
+  std::size_t cheb_order;
+  bool operator==(const Convolution&) const = default;
+};
+
+/// ChebNet runs the Chebyshev basis of the requested order, GraphSAGE-mean
+/// the fixed order-2 basis, ICNet and GCN the propagation (the order rides
+/// along unused). core::load_model refuses a header that pairs a variant
+/// with any other convolution.
+Convolution convolution_for(ModelVariant variant, std::size_t cheb_order);
+
 class RuntimeEstimator {
  public:
   explicit RuntimeEstimator(EstimatorOptions options = {});
@@ -80,17 +93,18 @@ class RuntimeEstimator {
   const EstimatorOptions& options() const { return options_; }
   bool is_fitted() const { return fitted_; }
 
-  /// Serialize the trained parameters to / from a text file. save() writes
-  /// the self-describing v2 format (DESIGN.md §9); load() accepts v1 and v2
-  /// but requires this estimator's architecture to match the file.
+  /// Write the trained model to a self-describing text file (DESIGN.md §9).
   void save(const std::string& path) const;
-  void load(const std::string& path);
 
-  /// Construct a fitted estimator from a v2 model file alone — architecture
-  /// options come from the file's header. Throws for v1 files.
+  /// Construct a fitted estimator from a model file alone — architecture
+  /// options come from the file's header (core::load_model).
   static RuntimeEstimator from_file(const std::string& path);
 
  private:
+  /// A fitted estimator around an already-built model (from_file).
+  RuntimeEstimator(EstimatorOptions options,
+                   std::unique_ptr<nn::GnnRegressor> model);
+
   data::StructureKind structure_kind() const;
   nn::GnnConfig gnn_config() const;
 

@@ -1,40 +1,37 @@
 // Plain-text (de)serialization of trained models.
 //
-// Two on-disk formats:
-//   * v1 (legacy) — "icnet-params v1 <count>" then bare shape+value blocks.
-//     Carries no architecture information, so loading requires a model that
-//     is already shaped exactly like the one that was saved.
-//   * v2 — self-describing. After the magic line the header records the
-//     estimator variant, feature set, convolution mode, Chebyshev order,
-//     input width, hidden layer dims, readout, and output head, then the
-//     parameter count and per-layer dims:
+// One on-disk format, "icnet-params v2". It is self-describing: after the
+// magic line the header records the estimator variant, feature set,
+// convolution mode, Chebyshev order, input width, hidden layer dims, readout,
+// and output head, then the parameter count and per-layer dims:
 //
-//       icnet-params v2
-//       variant icnet
-//       features all
-//       conv propagate
-//       cheb_order 3
-//       in_features 7
-//       hidden 2 16 8
-//       readout attention
-//       exp_head 1
-//       params 10
-//       <rows> <cols>
-//       <row-major values>
-//       ...
+//   icnet-params v2
+//   variant icnet
+//   features all
+//   conv propagate
+//   cheb_order 3
+//   in_features 7
+//   hidden 2 16 8
+//   readout attention
+//   exp_head 1
+//   params 10
+//   <rows> <cols>
+//   <row-major values>
+//   ...
 //
-//     A v2 file is enough to *construct* the model (ic::serve::ModelRegistry
-//     relies on this), not just to fill one in. Unknown header keys are an
-//     error: a file we cannot fully interpret must not half-load.
+// save_model writes it and load_model is the one reader: it builds the model
+// from the header alone (ic::serve::ModelRegistry and
+// RuntimeEstimator::from_file both call it). Any other version line and any
+// unknown header key are errors: a file we cannot fully interpret must not
+// half-load. Every parameter block must have the shape the header implies,
+// so a file whose values disagree with its header fails loudly.
 //
-// Loading always checks that every shape matches the receiving model, so a
-// file trained with a different architecture fails loudly instead of
-// silently misloading. load_parameters accepts both versions.
-//
-// A v2 header is bounded before any model is built from it, so a corrupt or
+// The header is bounded before any model is built from it, so a corrupt or
 // hostile file cannot size a large allocation: in_features must equal the
 // feature set's width, and the layer count, every layer width and
-// cheb_order must lie in [1, kMaxLayers / kMaxWidth / kMaxChebOrder].
+// cheb_order must lie in [1, kMaxLayers / kMaxWidth / kMaxChebOrder]. The
+// conv line must be the variant's convolution (core::convolution_for), so
+// every file describes a model an estimator of its variant runs.
 #pragma once
 
 #include <memory>
@@ -45,45 +42,31 @@
 
 namespace ic::core {
 
-/// Bounds on a v2 header (see above).
+/// Bounds on a header (see above).
 inline constexpr std::size_t kMaxLayers = 8;
 inline constexpr std::size_t kMaxWidth = 256;
 inline constexpr std::size_t kMaxChebOrder = 8;
 
-/// Architecture description parsed from a model file header. For v1 files
-/// only `version` and `param_count` are meaningful; everything else keeps
-/// the historical defaults (ICNet, All features, default GnnConfig).
+/// Architecture description parsed from a model file header.
 struct ModelSpec {
-  int version = 1;
   ModelVariant variant = ModelVariant::ICNet;
   data::FeatureSet features = data::FeatureSet::All;
-  nn::GnnConfig config;  ///< fully populated for v2 files
+  nn::GnnConfig config;
   std::size_t param_count = 0;
 };
 
-/// Parse just the header of a model file (cheap; no parameter values read).
-ModelSpec read_model_spec(const std::string& path);
-
-/// Write `model` in v2 format with explicit estimator-level metadata.
+/// Write `model` with its estimator-level metadata.
 void save_model(nn::GnnRegressor& model, const std::string& path,
                 ModelVariant variant, data::FeatureSet features);
 
-/// Construct a model from a v2 file alone. Throws std::runtime_error for v1
-/// files (they do not describe their own architecture). If `spec_out` is
-/// non-null it receives the parsed header.
+/// Construct a model from a file alone. Throws std::runtime_error for a file
+/// that cannot be opened, a header that is not v2, out of bounds or not its
+/// variant's convolution, and parameter blocks that disagree with the header.
+/// If `spec_out` is non-null it receives the parsed header.
 std::unique_ptr<nn::GnnRegressor> load_model(const std::string& path,
                                              ModelSpec* spec_out = nullptr);
 
-/// Write `model` in v2 format with default metadata (ICNet variant, feature
-/// set inferred from the input width). Prefer save_model when the
-/// estimator-level options are known.
-void save_parameters(nn::GnnRegressor& model, const std::string& path);
-
-/// Fill a pre-shaped model from a v1 or v2 file. Shape (and, for v2,
-/// architecture) mismatches throw.
-void load_parameters(nn::GnnRegressor& model, const std::string& path);
-
-// String forms used in the v2 header (and handy for logs).
+// String forms used in the header (and handy for logs).
 const char* variant_name(ModelVariant variant);
 const char* feature_set_name(data::FeatureSet set);
 const char* readout_name(nn::Readout readout);

@@ -17,6 +17,10 @@ RuntimeEstimator::RuntimeEstimator(EstimatorOptions options)
   model_ = std::make_unique<nn::GnnRegressor>(gnn_config());
 }
 
+RuntimeEstimator::RuntimeEstimator(EstimatorOptions options,
+                                   std::unique_ptr<nn::GnnRegressor> model)
+    : options_(std::move(options)), model_(std::move(model)), fitted_(true) {}
+
 RuntimeEstimator::~RuntimeEstimator() = default;
 RuntimeEstimator::RuntimeEstimator(RuntimeEstimator&&) noexcept = default;
 RuntimeEstimator& RuntimeEstimator::operator=(RuntimeEstimator&&) noexcept = default;
@@ -32,21 +36,30 @@ data::StructureKind structure_kind_for(ModelVariant variant) {
   return data::StructureKind::Adjacency;
 }
 
+Convolution convolution_for(ModelVariant variant, std::size_t cheb_order) {
+  switch (variant) {
+    case ModelVariant::ICNet:
+    case ModelVariant::Gcn: return {nn::ConvMode::Propagate, cheb_order};
+    case ModelVariant::ChebNet: return {nn::ConvMode::Chebyshev, cheb_order};
+    // GraphSAGE-mean is the order-2 polynomial basis {H, ŜH} with independent
+    // weights over the row-normalized adjacency — exactly the Chebyshev
+    // machinery with K = 2 (T_0 = I, T_1 = Ŝ).
+    case ModelVariant::Sage: return {nn::ConvMode::Chebyshev, 2};
+  }
+  IC_ASSERT_MSG(false, "unhandled ModelVariant");
+  return {nn::ConvMode::Propagate, cheb_order};
+}
+
 data::StructureKind RuntimeEstimator::structure_kind() const {
   return structure_kind_for(options_.variant);
 }
 
 nn::GnnConfig RuntimeEstimator::gnn_config() const {
   nn::GnnConfig cfg;
-  // GraphSAGE-mean is the order-2 polynomial basis {H, ŜH} with independent
-  // weights over the row-normalized adjacency — exactly the Chebyshev
-  // machinery with K = 2 (T_0 = I, T_1 = Ŝ).
-  cfg.conv_mode = options_.variant == ModelVariant::ChebNet ||
-                          options_.variant == ModelVariant::Sage
-                      ? nn::ConvMode::Chebyshev
-                      : nn::ConvMode::Propagate;
-  cfg.cheb_order =
-      options_.variant == ModelVariant::Sage ? 2 : options_.cheb_order;
+  const Convolution conv =
+      convolution_for(options_.variant, options_.cheb_order);
+  cfg.conv_mode = conv.mode;
+  cfg.cheb_order = conv.cheb_order;
   cfg.in_features = data::feature_width(options_.features);
   cfg.hidden = options_.hidden;
   cfg.readout = options_.readout;
@@ -74,7 +87,7 @@ nn::TrainReport RuntimeEstimator::fit(const data::Dataset& dataset) {
 }
 
 double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selection) {
-  IC_CHECK(fitted_, "RuntimeEstimator::predict called before fit()/load()");
+  IC_CHECK(fitted_, "RuntimeEstimator::predict called before fit()");
   IC_CHECK(circuit_ != nullptr, "no circuit bound; call set_circuit()");
   telemetry::TraceSpan span("estimator/predict");
   telemetry::MetricsRegistry::global().counter("estimator.predictions").add(1);
@@ -122,16 +135,9 @@ void RuntimeEstimator::save(const std::string& path) const {
   save_model(*model_, path, options_.variant, options_.features);
 }
 
-void RuntimeEstimator::load(const std::string& path) {
-  load_parameters(*model_, path);
-  fitted_ = true;
-}
-
 RuntimeEstimator RuntimeEstimator::from_file(const std::string& path) {
-  const ModelSpec spec = read_model_spec(path);
-  IC_CHECK(spec.version >= 2,
-           "'" << path << "' is a v1 parameter file; construct an estimator "
-                          "with the matching options and call load()");
+  ModelSpec spec;
+  auto model = load_model(path, &spec);
   EstimatorOptions options;
   options.variant = spec.variant;
   options.features = spec.features;
@@ -139,9 +145,7 @@ RuntimeEstimator RuntimeEstimator::from_file(const std::string& path) {
   options.exp_head = spec.config.exp_head;
   options.hidden = spec.config.hidden;
   options.cheb_order = spec.config.cheb_order;
-  RuntimeEstimator estimator(options);
-  estimator.load(path);
-  return estimator;
+  return RuntimeEstimator(std::move(options), std::move(model));
 }
 
 }  // namespace ic::core

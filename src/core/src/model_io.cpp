@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 #include "ic/data/features.hpp"
 #include "ic/support/assert.hpp"
@@ -96,7 +95,8 @@ void write_values(std::ostream& out, nn::GnnRegressor& model) {
   }
 }
 
-/// The v2 header bounds (model_io.hpp), checked before a model is built.
+/// The header bounds (model_io.hpp) and the variant's convolution, checked
+/// before a model is built.
 void check_bounds(const ModelSpec& spec, const std::string& path) {
   const nn::GnnConfig& cfg = spec.config;
   const std::size_t width = data::feature_width(spec.features);
@@ -112,6 +112,11 @@ void check_bounds(const ModelSpec& spec, const std::string& path) {
                                            << h << "; widths must be 1.."
                                            << kMaxWidth);
   }
+  IC_CHECK(convolution_for(spec.variant, cfg.cheb_order) ==
+               (Convolution{cfg.conv_mode, cfg.cheb_order}),
+           "'" << path << "' pairs variant '" << variant_name(spec.variant)
+               << "' with conv " << conv_name(cfg.conv_mode) << " of order "
+               << cfg.cheb_order);
 }
 
 /// Parse the header of an already-open stream. On return the stream is
@@ -122,15 +127,8 @@ ModelSpec read_header(std::istream& in, const std::string& path) {
   in >> magic >> version;
   IC_CHECK(in.good() && magic == "icnet-params",
            "'" << path << "' is not an icnet parameter file");
-  if (version == "v1") {
-    spec.version = 1;
-    in >> spec.param_count;
-    IC_CHECK(!in.fail(), "truncated v1 header in '" << path << "'");
-    return spec;
-  }
   IC_CHECK(version == "v2", "unsupported parameter-file version '"
                                 << version << "' in '" << path << "'");
-  spec.version = 2;
   std::string key;
   while (in >> key) {
     if (key == "params") {
@@ -182,15 +180,15 @@ void read_values(std::istream& in, nn::GnnRegressor& model,
                  const std::string& path, std::size_t count) {
   auto params = model.parameters();
   IC_CHECK(count == params.size(), "parameter count mismatch: file has "
-                                       << count << ", model expects "
+                                       << count << ", the header implies "
                                        << params.size());
   for (graph::Matrix* p : params) {
     std::size_t rows = 0, cols = 0;
     in >> rows >> cols;
     IC_CHECK(!in.fail() && rows == p->rows() && cols == p->cols(),
              "parameter shape mismatch in '" << path << "': file block is "
-                 << rows << "x" << cols << ", model expects " << p->rows()
-                 << "x" << p->cols());
+                 << rows << "x" << cols << ", the header implies "
+                 << p->rows() << "x" << p->cols());
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t c = 0; c < cols; ++c) in >> (*p)(r, c);
     }
@@ -199,12 +197,6 @@ void read_values(std::istream& in, nn::GnnRegressor& model,
 }
 
 }  // namespace
-
-ModelSpec read_model_spec(const std::string& path) {
-  std::ifstream in(path);
-  IC_CHECK(in.good(), "cannot open '" << path << "'");
-  return read_header(in, path);
-}
 
 void save_model(nn::GnnRegressor& model, const std::string& path,
                 ModelVariant variant, data::FeatureSet features) {
@@ -220,46 +212,15 @@ void save_model(nn::GnnRegressor& model, const std::string& path,
   IC_CHECK(out.good(), "write to '" << path << "' failed");
 }
 
-void save_parameters(nn::GnnRegressor& model, const std::string& path) {
-  const auto features = model.config().in_features == 1
-                            ? data::FeatureSet::Location
-                            : data::FeatureSet::All;
-  save_model(model, path, ModelVariant::ICNet, features);
-}
-
 std::unique_ptr<nn::GnnRegressor> load_model(const std::string& path,
                                              ModelSpec* spec_out) {
   std::ifstream in(path);
   IC_CHECK(in.good(), "cannot open '" << path << "'");
-  ModelSpec spec = read_header(in, path);
-  IC_CHECK(spec.version >= 2,
-           "'" << path << "' is a v1 parameter file; it does not describe its "
-                          "own architecture, so it can only be loaded into a "
-                          "pre-shaped model (load_parameters)");
+  const ModelSpec spec = read_header(in, path);
   auto model = std::make_unique<nn::GnnRegressor>(spec.config);
   read_values(in, *model, path, spec.param_count);
   if (spec_out != nullptr) *spec_out = spec;
   return model;
-}
-
-void load_parameters(nn::GnnRegressor& model, const std::string& path) {
-  std::ifstream in(path);
-  IC_CHECK(in.good(), "cannot open '" << path << "'");
-  const ModelSpec spec = read_header(in, path);
-  if (spec.version >= 2) {
-    // A self-describing file must agree with the receiving model end to end,
-    // not just block-by-block shapes.
-    const nn::GnnConfig& cfg = model.config();
-    IC_CHECK(spec.config.conv_mode == cfg.conv_mode &&
-                 spec.config.in_features == cfg.in_features &&
-                 spec.config.hidden == cfg.hidden &&
-                 spec.config.readout == cfg.readout &&
-                 spec.config.exp_head == cfg.exp_head &&
-                 (spec.config.conv_mode != nn::ConvMode::Chebyshev ||
-                  spec.config.cheb_order == cfg.cheb_order),
-             "architecture mismatch loading '" << path << "'");
-  }
-  read_values(in, model, path, spec.param_count);
 }
 
 }  // namespace ic::core

@@ -43,9 +43,4 @@ SparseMatrix row_normalized_adjacency(const SparseMatrix& adjacency);
 /// Pass λ_max ≤ 0 to estimate it by power iteration.
 SparseMatrix scaled_laplacian(const SparseMatrix& adjacency, double lambda_max = -1.0);
 
-/// Chebyshev basis [T_0(L̃)X, …, T_{K−1}(L̃)X] via the recurrence
-/// T_k = 2 L̃ T_{k−1} − T_{k−2}. Returns K matrices of X's shape.
-std::vector<Matrix> chebyshev_basis(const SparseMatrix& scaled_laplacian,
-                                    const Matrix& x, std::size_t order);
-
 }  // namespace ic::graph

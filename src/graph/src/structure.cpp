@@ -157,21 +157,4 @@ SparseMatrix scaled_laplacian(const SparseMatrix& a, double lambda_max) {
                                      std::move(tv));
 }
 
-std::vector<Matrix> chebyshev_basis(const SparseMatrix& lt, const Matrix& x,
-                                    std::size_t order) {
-  IC_ASSERT(order >= 1);
-  IC_ASSERT(lt.rows() == x.rows());
-  std::vector<Matrix> basis;
-  basis.reserve(order);
-  basis.push_back(x);  // T_0 = I
-  if (order >= 2) basis.push_back(lt.spmm(x));
-  for (std::size_t k = 2; k < order; ++k) {
-    Matrix t = lt.spmm(basis[k - 1]);
-    t *= 2.0;
-    t -= basis[k - 2];
-    basis.push_back(std::move(t));
-  }
-  return basis;
-}
-
 }  // namespace ic::graph

@@ -32,7 +32,4 @@ SearchOptions options_from_json(const serve::JsonValue& doc);
 /// Render the report as a JSON document.
 serve::JsonValue report_to_json(const SearchReport& report);
 
-/// Write report_to_json(report).dump() + "\n" to `path` (atomic tmp+rename).
-void write_report(const SearchReport& report, const std::string& path);
-
 }  // namespace ic::search

@@ -1,8 +1,6 @@
 #include "ic/search/report.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <type_traits>
 
 #include "ic/support/assert.hpp"
@@ -133,18 +131,6 @@ JsonValue report_to_json(const SearchReport& report) {
   doc.set("accepted_steps",
           JsonValue::number(static_cast<double>(report.accepted_steps)));
   return doc;
-}
-
-void write_report(const SearchReport& report, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    IC_CHECK(out.good(), "cannot open '" << tmp << "' for writing");
-    out << report_to_json(report).dump() << '\n';
-    IC_CHECK(out.good(), "write to '" << tmp << "' failed");
-  }
-  IC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "cannot move '" << tmp << "' to '" << path << "'");
 }
 
 }  // namespace ic::search

@@ -46,9 +46,9 @@ struct ModelSnapshot {
 class ModelRegistry {
  public:
   /// Load `path` under `name`, replacing any existing snapshot of that name
-  /// (version increments across replacements). v2 files construct the model
-  /// from the header alone; v1 files are loaded into the default
-  /// architecture and rejected if they do not fit it.
+  /// (version increments across replacements). The file's header describes
+  /// the model (core::load_model); a file that does not load throws and
+  /// leaves the registry as it was.
   std::shared_ptr<const ModelSnapshot> load(const std::string& name,
                                             const std::string& path);
 

@@ -25,16 +25,7 @@ std::shared_ptr<const ModelSnapshot> ModelRegistry::load_snapshot(
   snapshot->name = name;
   snapshot->path = path;
   snapshot->version = version;
-  snapshot->spec = core::read_model_spec(path);
-  if (snapshot->spec.version >= 2) {
-    snapshot->model = core::load_model(path, &snapshot->spec);
-  } else {
-    // Legacy v1 files carry no architecture; only the historical default
-    // shape can host them.
-    auto model = std::make_shared<nn::GnnRegressor>(nn::GnnConfig{});
-    core::load_parameters(*model, path);
-    snapshot->model = std::move(model);
-  }
+  snapshot->model = core::load_model(path, &snapshot->spec);
   return snapshot;
 }
 

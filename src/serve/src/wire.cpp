@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -257,27 +258,35 @@ class Parser {
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    auto eat_digits = [&] {
+    const auto eat_digits = [&] {
+      const std::size_t from = pos_;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         ++pos_;
-        digits = true;
       }
+      return pos_ > from;
     };
-    eat_digits();
+    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
+    bool mantissa = eat_digits();
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      eat_digits();
+      mantissa = eat_digits() || mantissa;
     }
+    if (!mantissa) fail("expected a value");
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-      eat_digits();
+      if (!eat_digits()) fail("expected exponent digits");
     }
-    if (!digits) fail("expected a value");
-    return JsonValue::number(std::stod(text_.substr(start, pos_ - start)));
+    // strtod rounds an underflow to the nearest double (a subnormal or zero),
+    // which is the value; only an overflow to ±inf is refused.
+    const std::string literal = text_.substr(start, pos_ - start);
+    const double value = std::strtod(literal.c_str(), nullptr);
+    if (std::isinf(value)) {
+      pos_ = start;
+      fail("number out of range");
+    }
+    return JsonValue::number(value);
   }
 
   const std::string& text_;

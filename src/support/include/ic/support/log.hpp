@@ -5,8 +5,8 @@
 //   ICLOG(info) << "attack finished" << ic::telemetry::kv("dips", n);
 //
 // Records are single lines of `key=value` pairs after a free-text message,
-// written atomically to a pluggable sink (stderr by default; file or null
-// sinks available). The runtime threshold comes from the IC_LOG_LEVEL
+// written atomically to a pluggable sink (stderr by default; tests swap in a
+// MemorySink). The runtime threshold comes from the IC_LOG_LEVEL
 // environment variable (trace|debug|info|warn|error|off, default warn) and
 // can be overridden programmatically.
 //
@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -68,23 +67,6 @@ class StderrSink : public LogSink {
   void write(const std::string& line) override;
 };
 
-/// Appends lines to a file opened once at construction.
-class FileSink : public LogSink {
- public:
-  explicit FileSink(const std::string& path);
-  ~FileSink() override;
-  void write(const std::string& line) override;
-
- private:
-  std::FILE* file_;
-};
-
-/// Swallows everything.
-class NullSink : public LogSink {
- public:
-  void write(const std::string&) override {}
-};
-
 /// Buffers lines in memory; used by tests and tools that post-process logs.
 class MemorySink : public LogSink {
  public:
@@ -110,7 +92,7 @@ class Logger {
     return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
-  /// Replaces the sink (never null; pass a NullSink to silence output).
+  /// Replaces the sink (never null; set_level(Level::off) silences output).
   void set_sink(std::shared_ptr<LogSink> sink);
   std::shared_ptr<LogSink> sink() const;
 

@@ -30,25 +30,20 @@
 
 namespace ic::telemetry {
 
-/// Write the global metrics registry as JSON to `path` (overwrites).
+/// Write the global metrics registry to `path`: Prometheus text exposition
+/// when the path ends in ".prom", the registry's JSON document otherwise.
+/// The snapshot is written to `path + ".tmp"` and renamed into place, so a
+/// concurrent reader (or Prometheus textfile collector) never sees a
+/// half-written file.
 void dump_metrics(const std::string& path);
-
-/// Write the global metrics registry in Prometheus text exposition format to
-/// `path` (overwrites).
-void dump_prometheus(const std::string& path);
 
 /// Write the global trace buffer as Chrome trace-event JSON to `path`.
 void dump_trace(const std::string& path);
 
 /// Background thread that periodically snapshots the global metrics registry
-/// to a file, so long-running commands (train, attack, serve) expose live
-/// progress instead of only an exit-time dump. Each snapshot is written to
-/// `path + ".tmp"` and renamed into place, so a concurrent reader (or
-/// Prometheus textfile collector) never sees a half-written file.
-///
-/// Format follows the file extension: ".prom" writes Prometheus text
-/// exposition, anything else the registry's JSON document. The destructor
-/// stops the thread and writes one final snapshot.
+/// to a file with dump_metrics, so long-running commands (train, attack,
+/// serve) expose live progress instead of only an exit-time dump. The
+/// destructor stops the thread and writes one final snapshot.
 class MetricsFlusher {
  public:
   MetricsFlusher(std::string path, std::chrono::milliseconds interval);
@@ -59,14 +54,10 @@ class MetricsFlusher {
   /// Join the flusher thread and write a final snapshot. Idempotent.
   void stop();
 
-  /// One snapshot now (also what the background thread calls each tick).
-  void flush() const;
-
  private:
   void loop();
 
   std::string path_;
-  bool prometheus_ = false;
   std::chrono::milliseconds interval_;
   std::mutex mu_;
   std::condition_variable cv_;

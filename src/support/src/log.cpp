@@ -75,19 +75,6 @@ void StderrSink::write(const std::string& line) {
   std::fprintf(stderr, "%s\n", line.c_str());
 }
 
-FileSink::FileSink(const std::string& path) : file_(std::fopen(path.c_str(), "a")) {
-  IC_CHECK(file_ != nullptr, "FileSink: cannot open " << path);
-}
-
-FileSink::~FileSink() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void FileSink::write(const std::string& line) {
-  std::fprintf(file_, "%s\n", line.c_str());
-  std::fflush(file_);
-}
-
 void MemorySink::write(const std::string& line) {
   std::lock_guard<std::mutex> lock(mu_);
   lines_.push_back(line);

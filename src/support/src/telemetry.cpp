@@ -9,15 +9,19 @@
 namespace ic::telemetry {
 
 void dump_metrics(const std::string& path) {
-  std::ofstream out(path);
-  IC_CHECK(out.good(), "dump_metrics: cannot open " << path);
-  MetricsRegistry::global().write_json(out);
-}
-
-void dump_prometheus(const std::string& path) {
-  std::ofstream out(path);
-  IC_CHECK(out.good(), "dump_prometheus: cannot open " << path);
-  MetricsRegistry::global().write_prometheus(out);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp);
+    IC_CHECK(out.good(), "dump_metrics: cannot open " << tmp);
+    if (path.ends_with(".prom")) {
+      MetricsRegistry::global().write_prometheus(out);
+    } else {
+      MetricsRegistry::global().write_json(out);
+    }
+    IC_CHECK(out.good(), "dump_metrics: write to " << tmp << " failed");
+  }
+  IC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+           "dump_metrics: cannot rename " << tmp << " to " << path);
 }
 
 void dump_trace(const std::string& path) {
@@ -30,10 +34,6 @@ MetricsFlusher::MetricsFlusher(std::string path,
                                std::chrono::milliseconds interval)
     : path_(std::move(path)), interval_(interval) {
   IC_CHECK(interval_.count() > 0, "MetricsFlusher interval must be positive");
-  const std::string_view suffix = ".prom";
-  prometheus_ = path_.size() >= suffix.size() &&
-                path_.compare(path_.size() - suffix.size(), suffix.size(),
-                              suffix) == 0;
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -45,28 +45,13 @@ MetricsFlusher::~MetricsFlusher() {
   }
 }
 
-void MetricsFlusher::flush() const {
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp);
-    IC_CHECK(out.good(), "MetricsFlusher: cannot open " << tmp);
-    if (prometheus_) {
-      MetricsRegistry::global().write_prometheus(out);
-    } else {
-      MetricsRegistry::global().write_json(out);
-    }
-  }
-  IC_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-           "MetricsFlusher: cannot rename " << tmp << " to " << path_);
-}
-
 void MetricsFlusher::loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval_, [this] { return stopping_; })) return;
     lock.unlock();
     try {
-      flush();
+      dump_metrics(path_);
     } catch (const std::exception& e) {
       ICLOG(warn) << "metrics flush failed" << kv("error", e.what());
     }
@@ -82,7 +67,7 @@ void MetricsFlusher::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  flush();
+  dump_metrics(path_);
 }
 
 }  // namespace ic::telemetry

@@ -77,6 +77,30 @@ endmodule
   EXPECT_FALSE(sim.eval({true, false})[0]);
 }
 
+TEST(VerilogIo, InstanceNamesAreReadFromTheSyntaxNotTheTerminalCount) {
+  // The same AND gate named and unnamed, with two and three inputs: a name
+  // is whatever stands between the primitive and '('.
+  for (const std::string name : {"", "g1 "}) {
+    for (const bool three : {false, true}) {
+      const std::string text =
+          "module m (a, b, c, w);\n  input a, b, c;\n  output w;\n  and " +
+          name + (three ? "(w, a, b, c);\n" : "(w, a, b);\n") + "endmodule\n";
+      const Netlist nl = parse_verilog(text);
+      ASSERT_EQ(nl.num_logic_gates(), 1u) << text;
+      const Gate& w = nl.gate(nl.find("w"));
+      EXPECT_EQ(w.kind, GateKind::And) << text;
+      EXPECT_EQ(w.fanins.size(), three ? 3u : 2u) << text;
+      Simulator sim(nl);
+      EXPECT_TRUE(sim.eval({true, true, true})[0]) << text;
+      EXPECT_EQ(sim.eval({true, true, false})[0], !three) << text;
+    }
+  }
+  // More than one word before '(' is not an instance.
+  EXPECT_THROW(parse_verilog("module m (a, b, w);\n  input a, b;\n"
+                             "  output w;\n  and g1 g2 (w, a, b);\nendmodule\n"),
+               std::runtime_error);
+}
+
 TEST(VerilogIo, KeyinputNamesBecomeKeyInputs) {
   const Netlist nl = parse_verilog(R"(
 module locked (a, keyinput0, y);

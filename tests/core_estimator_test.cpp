@@ -121,24 +121,9 @@ TEST_F(EstimatorEndToEnd, SaveLoadRoundTripPreservesPredictions) {
   const std::string path = ::testing::TempDir() + "/icnet_model.txt";
   a.save(path);
 
-  RuntimeEstimator b(opt);
-  b.load(path);
+  auto b = RuntimeEstimator::from_file(path);
   b.set_circuit(*circuit_);
   EXPECT_DOUBLE_EQ(b.predict_log_runtime(sel), before);
-}
-
-TEST_F(EstimatorEndToEnd, LoadRejectsMismatchedArchitecture) {
-  EstimatorOptions opt;
-  opt.train.max_epochs = 30;
-  RuntimeEstimator a(opt);
-  a.fit(*dataset_);
-  const std::string path = ::testing::TempDir() + "/icnet_model2.txt";
-  a.save(path);
-
-  EstimatorOptions other = opt;
-  other.hidden = {4};  // different architecture
-  RuntimeEstimator b(other);
-  EXPECT_THROW(b.load(path), std::runtime_error);
 }
 
 TEST_F(EstimatorEndToEnd, VariantsAllTrain) {

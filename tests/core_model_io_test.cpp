@@ -1,9 +1,8 @@
-// Parameter-file format coverage (DESIGN.md §9): the self-describing v2
-// header, legacy v1 compatibility, and rejection of malformed files.
+// Model-file format coverage (DESIGN.md §9): the self-describing v2 header,
+// load_model as its one reader, and rejection of malformed files.
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "ic/circuit/generator.hpp"
@@ -64,7 +63,6 @@ TEST(ModelIoV2, RoundTripIsBitIdentical) {
 
   ModelSpec spec;
   const auto loaded = load_model(path, &spec);
-  EXPECT_EQ(spec.version, 2);
   EXPECT_EQ(spec.variant, ModelVariant::ICNet);
   EXPECT_EQ(spec.features, data::FeatureSet::All);
   EXPECT_EQ(spec.config.hidden, small_config().hidden);
@@ -99,66 +97,53 @@ TEST(ModelIoV2, HeaderDescribesNonDefaultArchitecture) {
   const std::string path = temp_path("v2_header.txt");
   save_model(model, path, ModelVariant::ChebNet, data::FeatureSet::All);
 
-  const ModelSpec spec = read_model_spec(path);
-  EXPECT_EQ(spec.version, 2);
+  // load_model rebuilds that architecture without outside help.
+  ModelSpec spec;
+  const auto loaded = load_model(path, &spec);
   EXPECT_EQ(spec.variant, ModelVariant::ChebNet);
   EXPECT_EQ(spec.config.conv_mode, nn::ConvMode::Chebyshev);
   EXPECT_EQ(spec.config.cheb_order, 4u);
   EXPECT_EQ(spec.config.hidden, std::vector<std::size_t>{5});
   EXPECT_EQ(spec.config.readout, nn::Readout::Mean);
   EXPECT_FALSE(spec.config.exp_head);
-
-  // load_model rebuilds that architecture without outside help.
-  const auto loaded = load_model(path);
   EXPECT_EQ(loaded->config().conv_mode, nn::ConvMode::Chebyshev);
+  EXPECT_EQ(loaded->config().cheb_order, 4u);
   EXPECT_EQ(loaded->config().hidden, config.hidden);
 }
 
-TEST(ModelIoV1, LegacyFilesStillLoad) {
-  nn::GnnRegressor original(small_config());
-  // Hand-write the v1 format: bare count header, then the same value blocks.
-  std::ostringstream v1;
-  v1 << "icnet-params v1 " << original.parameters().size() << '\n';
-  v1 << std::setprecision(17);
-  for (const graph::Matrix* p : original.parameters()) {
-    v1 << p->rows() << ' ' << p->cols() << '\n';
-    for (std::size_t r = 0; r < p->rows(); ++r) {
-      for (std::size_t c = 0; c < p->cols(); ++c) {
-        v1 << (*p)(r, c) << (c + 1 == p->cols() ? '\n' : ' ');
-      }
-    }
+/// `load(path)` throws std::runtime_error whose message contains `needle`.
+template <typename Load>
+void expect_load_error(Load load, const std::string& path,
+                       const std::string& needle) {
+  try {
+    load(path);
+    ADD_FAILURE() << "loaded '" << path << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
   }
-  const std::string path = temp_path("v1_legacy.txt");
-  write_file(path, v1.str());
-
-  const ModelSpec spec = read_model_spec(path);
-  EXPECT_EQ(spec.version, 1);
-  EXPECT_EQ(spec.param_count, original.parameters().size());
-
-  nn::GnnRegressor loaded(small_config());
-  load_parameters(loaded, path);
-  auto probe = make_probe();
-  EXPECT_EQ(original.predict(*probe.structure, probe.features),
-            loaded.predict(*probe.structure, probe.features));
-
-  // v1 carries no architecture, so construct-from-file must refuse it.
-  EXPECT_THROW(load_model(path), std::exception);
-  EXPECT_THROW(RuntimeEstimator::from_file(path), std::exception);
 }
 
 TEST(ModelIoErrors, GarbageHeaderIsRejected) {
   const std::string path = temp_path("garbage.txt");
   write_file(path, "definitely not a model file\n1 2 3\n");
-  EXPECT_THROW(read_model_spec(path), std::exception);
-  EXPECT_THROW(load_model(path), std::exception);
+  EXPECT_THROW(load_model(path), std::runtime_error);
 
   write_file(path, "icnet-params v9 12\n");
-  EXPECT_THROW(read_model_spec(path), std::exception);
+  EXPECT_THROW(load_model(path), std::runtime_error);
+
+  // The retired v1 format (a bare parameter count, no architecture) is one
+  // more unsupported version, for the estimator as for load_model.
+  write_file(path, "icnet-params v1 2\n1 1\n0.5\n1 1\n0.5\n");
+  const std::string v1 = "unsupported parameter-file version 'v1'";
+  expect_load_error([](const std::string& p) { load_model(p); }, path, v1);
+  expect_load_error(
+      [](const std::string& p) { RuntimeEstimator::from_file(p); }, path, v1);
 
   write_file(path, "icnet-params v2\nwibble 3\nparams 8\n");
-  EXPECT_THROW(read_model_spec(path), std::exception);
+  EXPECT_THROW(load_model(path), std::runtime_error);
 
-  EXPECT_THROW(read_model_spec(temp_path("missing.txt")), std::exception);
+  EXPECT_THROW(load_model(temp_path("missing.txt")), std::runtime_error);
 }
 
 TEST(ModelIoErrors, TruncatedFileIsRejected) {
@@ -171,31 +156,55 @@ TEST(ModelIoErrors, TruncatedFileIsRejected) {
 
   // Header cut off mid-way.
   write_file(path, "icnet-params v2\nvariant icnet\nfeatures all\n");
-  EXPECT_THROW(read_model_spec(path), std::exception);
+  EXPECT_THROW(load_model(path), std::runtime_error);
 }
 
 TEST(ModelIoErrors, ShapeMismatchIsRejected) {
   nn::GnnRegressor model(small_config());
   const std::string path = temp_path("shape.txt");
   save_model(model, path, ModelVariant::ICNet, data::FeatureSet::All);
+  const std::string saved = read_file(path);
+  const auto load = [](const std::string& p) { load_model(p); };
 
-  // Same file into a differently shaped model: the v2 header check fires.
-  nn::GnnConfig other = small_config();
-  other.hidden = {7, 4};
-  nn::GnnRegressor wrong(other);
-  EXPECT_THROW(load_parameters(wrong, path), std::exception);
+  // The header claims a wider first layer than the blocks that follow.
+  const std::string hidden = "hidden 2 6 4\n";
+  ASSERT_NE(saved.find(hidden), std::string::npos);
+  std::string wider = saved;
+  wider.replace(wider.find(hidden), hidden.size(), "hidden 2 7 4\n");
+  write_file(path, wider);
+  expect_load_error(load, path, "parameter shape mismatch");
 
-  // v1 file whose first block disagrees with the receiving model's shape.
-  std::ostringstream v1;
-  v1 << "icnet-params v1 " << model.parameters().size() << '\n';
-  v1 << "3 3\n1 2 3\n4 5 6\n7 8 9\n";
-  write_file(path, v1.str());
-  nn::GnnRegressor target(small_config());
-  EXPECT_THROW(load_parameters(target, path), std::exception);
+  // The header counts one parameter block fewer than the model has.
+  const std::string count =
+      "params " + std::to_string(model.parameters().size()) + "\n";
+  ASSERT_NE(saved.find(count), std::string::npos);
+  std::string fewer = saved;
+  fewer.replace(fewer.find(count), count.size(),
+                "params " + std::to_string(model.parameters().size() - 1) +
+                    "\n");
+  write_file(path, fewer);
+  expect_load_error(load, path, "parameter count mismatch");
+}
 
-  // v1 file with the wrong parameter count.
-  write_file(path, "icnet-params v1 2\n1 1\n0.5\n1 1\n0.5\n");
-  EXPECT_THROW(load_parameters(target, path), std::exception);
+TEST(ModelIoErrors, ConvolutionMustBeTheVariants) {
+  // A Chebyshev model labelled ICNet, and one labelled GraphSAGE-mean at
+  // order 3: neither is what an estimator of that variant runs.
+  nn::GnnConfig config = small_config();
+  config.conv_mode = nn::ConvMode::Chebyshev;
+  config.cheb_order = 3;
+  nn::GnnRegressor model(config);
+  const std::string path = temp_path("conv.txt");
+  for (const ModelVariant variant : {ModelVariant::ICNet, ModelVariant::Sage}) {
+    save_model(model, path, variant, data::FeatureSet::All);
+    expect_load_error([](const std::string& p) { load_model(p); }, path,
+                      "pairs variant");
+    expect_load_error(
+        [](const std::string& p) { RuntimeEstimator::from_file(p); }, path,
+        "pairs variant");
+  }
+  // Labelled ChebNet, the same model is what ChebNet runs.
+  save_model(model, path, ModelVariant::ChebNet, data::FeatureSet::All);
+  EXPECT_NO_THROW(load_model(path));
 }
 
 TEST(ModelIoEstimator, FromFileRebuildsTheEstimator) {

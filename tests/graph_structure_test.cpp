@@ -89,29 +89,6 @@ TEST(Structure, ScaledLaplacianSpectrumInMinusOneOne) {
   EXPECT_LE(lt.lambda_max(300), 1.0 + 1e-4);
 }
 
-TEST(Structure, ChebyshevBasisSatisfiesRecurrence) {
-  const SparseMatrix lt = scaled_laplacian(adjacency(circuit::c17()));
-  Rng rng(9);
-  const Matrix x = Matrix::random_normal(lt.rows(), 3, 1.0, rng);
-  const auto basis = chebyshev_basis(lt, x, 4);
-  ASSERT_EQ(basis.size(), 4u);
-  EXPECT_LT(Matrix::max_abs_diff(basis[0], x), 1e-15);
-  EXPECT_LT(Matrix::max_abs_diff(basis[1], lt.spmm(x)), 1e-12);
-  // T_3 = 2 L T_2 - T_1.
-  Matrix expect = lt.spmm(basis[2]);
-  expect *= 2.0;
-  expect -= basis[1];
-  EXPECT_LT(Matrix::max_abs_diff(basis[3], expect), 1e-10);
-}
-
-TEST(Structure, ChebyshevOrderOneIsIdentity) {
-  const SparseMatrix lt = scaled_laplacian(adjacency(chain()));
-  const Matrix x{{1}, {2}, {3}};
-  const auto basis = chebyshev_basis(lt, x, 1);
-  ASSERT_EQ(basis.size(), 1u);
-  EXPECT_LT(Matrix::max_abs_diff(basis[0], x), 1e-15);
-}
-
 }  // namespace
 }  // namespace ic::graph
 

@@ -119,7 +119,6 @@ TEST_F(ServeTest, RegistryLoadsSelfDescribingModel) {
   const auto snapshot = registry.load("default", model_path_);
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->version, 1u);
-  EXPECT_EQ(snapshot->spec.version, 2);
   EXPECT_EQ(snapshot->spec.config.hidden, (std::vector<std::size_t>{6, 4}));
   EXPECT_EQ(registry.get("default"), snapshot);
   EXPECT_EQ(registry.get("nope"), nullptr);
@@ -163,6 +162,36 @@ TEST_F(ServeTest, RegistryKeepsServingWhenReloadFails) {
   write_model(path, circuit_, 3);
   EXPECT_EQ(registry.poll_reload(), 1u);
   EXPECT_EQ(registry.get("m")->version, 2u);
+}
+
+TEST_F(ServeTest, RegistryRefusesTheRetiredV1Format) {
+  // v1 files carried a bare parameter count and no architecture. They are
+  // refused on first load and on hot reload alike.
+  const std::string v1 = "icnet-params v1 2\n1 1\n0.5\n1 1\n0.5\n";
+  const std::string unsupported = "unsupported parameter-file version 'v1'";
+  const std::string path = temp_path("v1.txt");
+  std::ofstream(path) << v1;
+  ModelRegistry registry;
+  try {
+    registry.load("m", path);
+    ADD_FAILURE() << "a v1 file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(unsupported), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(registry.get("m"), nullptr);
+  EXPECT_EQ(registry.size(), 0u);
+
+  write_model(path, circuit_, 1);
+  registry.load("m", path);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::ofstream(path) << v1;
+  auto& errors =
+      telemetry::MetricsRegistry::global().counter("serve.model_reload_errors");
+  const auto before = errors.value();
+  EXPECT_EQ(registry.poll_reload(), 0u);
+  EXPECT_EQ(errors.value(), before + 1);
+  EXPECT_EQ(registry.get("m")->version, 1u);
 }
 
 TEST_F(ServeTest, DeltaAnswersMatchTheFullPassAcrossCircuitsAndReloads) {
@@ -892,7 +921,7 @@ TEST_F(ServeTest, OverlongUnterminatedLineIsAnsweredAndClosed) {
   engine.stop();
 }
 
-TEST_F(ServeTest, DeeplyNestedLineIsAnsweredAndTheConnectionLives) {
+TEST_F(ServeTest, UnparsableLineIsAnsweredAndTheConnectionLives) {
   ModelRegistry registry;
   registry.load("default", model_path_);
   InferenceEngine engine(registry, {});
@@ -902,41 +931,46 @@ TEST_F(ServeTest, DeeplyNestedLineIsAnsweredAndTheConnectionLives) {
 
   auto& wire_errors =
       telemetry::MetricsRegistry::global().counter("serve.wire_errors");
-  const auto before = wire_errors.value();
+  // 50 KB of '[' — far under the line cap, far over any sane nesting; and a
+  // number past the largest double.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"op":"predict","select":[1],"x":)" + std::string(50000, '['),
+       "nesting"},
+      {R"({"op":"ping","id":1e999})",
+       "JSON parse error at byte 18: number out of range"}};
+  for (const auto& [line, message] : cases) {
+    const auto before = wire_errors.value();
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    const timeval timeout{10, 0};  // a server that never answers fails, not hangs
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    const std::string lines = line + "\n" + R"({"op":"ping","id":2})" + "\n";
+    for (std::size_t sent = 0; sent < lines.size();) {
+      const ssize_t n = ::send(fd, lines.data() + sent, lines.size() - sent,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      sent += static_cast<std::size_t>(n);
+    }
+    std::string received;
+    char buf[4096];
+    while (std::count(received.begin(), received.end(), '\n') < 2) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "connection lost after " << received.size() << " bytes";
+      received.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
 
-  // 50 KB of '[' — far under the line cap, far over any sane nesting.
-  const int fd = connect_loopback(server.port());
-  ASSERT_GE(fd, 0);
-  const timeval timeout{10, 0};  // a server that never answers fails, not hangs
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  const std::string lines = R"({"op":"predict","select":[1],"x":)" +
-                            std::string(50000, '[') + "\n" +
-                            R"({"op":"ping","id":2})" + "\n";
-  for (std::size_t sent = 0; sent < lines.size();) {
-    const ssize_t n = ::send(fd, lines.data() + sent, lines.size() - sent,
-                             MSG_NOSIGNAL);
-    ASSERT_GT(n, 0) << std::strerror(errno);
-    sent += static_cast<std::size_t>(n);
+    const std::size_t nl = received.find('\n');
+    const WireResponse error = parse_response(received.substr(0, nl));
+    EXPECT_FALSE(error.ok);
+    EXPECT_EQ(error.status, "error");
+    EXPECT_NE(error.error.find(message), std::string::npos) << error.error;
+    const WireResponse ping =
+        parse_response(received.substr(nl + 1, received.size() - nl - 2));
+    EXPECT_TRUE(ping.ok);
+    EXPECT_EQ(ping.id, 2u);
+    EXPECT_EQ(wire_errors.value(), before + 1);
   }
-  std::string received;
-  char buf[4096];
-  while (std::count(received.begin(), received.end(), '\n') < 2) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "connection lost after " << received.size() << " bytes";
-    received.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-
-  const std::size_t nl = received.find('\n');
-  const WireResponse error = parse_response(received.substr(0, nl));
-  EXPECT_FALSE(error.ok);
-  EXPECT_EQ(error.status, "error");
-  EXPECT_NE(error.error.find("nesting"), std::string::npos) << error.error;
-  const WireResponse ping =
-      parse_response(received.substr(nl + 1, received.size() - nl - 2));
-  EXPECT_TRUE(ping.ok);
-  EXPECT_EQ(ping.id, 2u);
-  EXPECT_EQ(wire_errors.value(), before + 1);
 
   server.shutdown();
   engine.stop();

@@ -391,7 +391,31 @@ TEST(Trace, SpanTimestampsNest) {
   collector.clear();
 }
 
-// ---- MetricsFlusher --------------------------------------------------------
+// ---- dump_metrics / MetricsFlusher -----------------------------------------
+
+TEST(DumpMetrics, PromPathGetsExpositionTextAnyOtherPathJson) {
+  MetricsRegistry::global().counter("dump.test.format").add(3);
+  const auto dump = [](const std::string& name) {
+    const std::string path = ::testing::TempDir() + name;
+    dump_metrics(path);
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good())
+        << "tmp staging file must be renamed away";
+    std::stringstream buffer;
+    buffer << std::ifstream(path).rdbuf();
+    std::remove(path.c_str());
+    return buffer.str();
+  };
+  const std::string prom = dump("dump_format.prom");
+  EXPECT_NE(prom.find("# TYPE dump_test_format counter\ndump_test_format 3\n"),
+            std::string::npos)
+      << prom;
+  for (const char* name : {"dump_format.json", "dump_format.txt"}) {
+    const std::string json = dump(name);
+    EXPECT_EQ(json.rfind("{\n  \"counters\": {", 0), 0u) << json;
+    EXPECT_NE(json.find("\"dump.test.format\": 3"), std::string::npos) << json;
+    EXPECT_EQ(json.find("# TYPE"), std::string::npos) << json;
+  }
+}
 
 TEST(MetricsFlusher, StopWritesAFinalSnapshotAtomically) {
   const std::string path = ::testing::TempDir() + "flusher_final.json";

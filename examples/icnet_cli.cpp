@@ -80,19 +80,25 @@
 //                         (DESIGN.md §8); default is serial.
 //
 // Exit code 0 on success, 1 on runtime errors, 2 on usage errors (unknown
-// subcommand, malformed flags); errors go to stderr.
+// subcommand, malformed flags); errors go to stderr. A numeric flag must be
+// one whole number in its range (ic::parse_number): "40abc", "2.9" for a
+// count, "-2" for a size, "1e999", "inf" or a port past 65535 is a usage
+// error naming the flag.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ic/attack/sat_attack.hpp"
 #include "ic/circuit/bench_io.hpp"
@@ -145,6 +151,39 @@ std::string opt(const Args& a, const std::string& key, const std::string& dflt) 
   return it == a.options.end() ? dflt : it->second;
 }
 
+/// --key as a T, or `dflt` when the flag is absent. The value must be one
+/// whole number of type T in [lo, hi] (ic::parse_number); anything else is a
+/// usage error naming the flag and the text.
+template <typename T>
+T num(const Args& a, const std::string& key, T dflt,
+      T lo = std::numeric_limits<T>::lowest(),
+      T hi = std::numeric_limits<T>::max()) {
+  const auto it = a.options.find(key);
+  if (it == a.options.end()) return dflt;
+  const std::string& text = it->second;
+  const auto value = ic::parse_number<T>(text);
+  if (value && *value >= lo && *value <= hi) return *value;
+  std::ostringstream os;
+  os << "--" << key << " needs ";
+  if constexpr (std::is_floating_point_v<T>) {
+    os << "a finite number";
+    if (lo != std::numeric_limits<T>::lowest() ||
+        hi != std::numeric_limits<T>::max()) {
+      os << " in [" << lo << ", " << hi << "]";
+    }
+  } else {
+    os << "an integer in [" << +lo << ", " << +hi << "]";
+  }
+  os << ", got '" << text << "'";
+  throw UsageError(os.str());
+}
+
+/// --port of a client subcommand, which has no default.
+int port_arg(const Args& a, const char* cmd) {
+  IC_CHECK(a.options.count("port") != 0, cmd << " needs --port P");
+  return num<std::uint16_t>(a, "port", 0);
+}
+
 /// Remove a global (pre-dispatch) option so subcommands never see it.
 std::string take_opt(Args& a, const std::string& key) {
   const auto it = a.options.find(key);
@@ -154,13 +193,26 @@ std::string take_opt(Args& a, const std::string& key) {
   return value;
 }
 
+/// take_opt for a numeric option in [lo, hi]; std::nullopt when absent.
+template <typename T>
+std::optional<T> take_num(Args& a, const std::string& key, T lo, T hi) {
+  if (a.options.count(key) == 0) return std::nullopt;
+  const T value = num<T>(a, key, T{}, lo, hi);
+  a.options.erase(key);
+  return value;
+}
+
+/// The longest --metrics-interval / --progress-interval: one day. Longer
+/// waits would overflow the clocks the flusher and heartbeat sleep on.
+constexpr double kMaxIntervalSeconds = 86400.0;
+
 int cmd_gen(const Args& a) {
   IC_CHECK(a.positional.size() == 1, "gen needs <out.bench>");
   ic::circuit::GeneratorSpec spec;
-  spec.num_gates = std::stoul(opt(a, "gates", "256"));
-  spec.num_inputs = std::stoul(opt(a, "inputs", "32"));
-  spec.num_outputs = std::stoul(opt(a, "outputs", "16"));
-  spec.seed = std::stoull(opt(a, "seed", "1"));
+  spec.num_gates = num<std::size_t>(a, "gates", 256);
+  spec.num_inputs = num<std::size_t>(a, "inputs", 32);
+  spec.num_outputs = num<std::size_t>(a, "outputs", 16);
+  spec.seed = num<std::uint64_t>(a, "seed", 1);
   const auto circuit = ic::circuit::generate_circuit(spec);
   ic::circuit::write_bench_file(circuit, a.positional[0]);
   std::printf("wrote %zu-gate circuit to %s\n", spec.num_gates,
@@ -172,8 +224,8 @@ int cmd_lock(const Args& a) {
   IC_CHECK(a.positional.size() == 2, "lock needs <in.bench> <out.bench>");
   const auto original = ic::circuit::read_bench_file(a.positional[0]);
   const std::string scheme = opt(a, "scheme", "lut4");
-  const std::size_t gates = std::stoul(opt(a, "gates", "4"));
-  const std::uint64_t seed = std::stoull(opt(a, "seed", "1"));
+  const std::size_t gates = num<std::size_t>(a, "gates", 4);
+  const std::uint64_t seed = num<std::uint64_t>(a, "seed", 1);
 
   ic::circuit::Netlist locked;
   std::vector<bool> key;
@@ -190,7 +242,7 @@ int cmd_lock(const Args& a) {
     locked = std::move(r.locked);
     key = std::move(r.correct_key);
   } else if (scheme == "antisat") {
-    const std::size_t width = std::stoul(opt(a, "width", "6"));
+    const std::size_t width = num<std::size_t>(a, "width", 6);
     const auto target = ic::locking::select_gates(
         original, 1, ic::locking::SelectionPolicy::FanoutWeighted, seed)[0];
     auto r = ic::locking::anti_sat_lock(original, target, {width, seed});
@@ -232,7 +284,7 @@ int cmd_attack(const Args& a) {
   const auto oracle_netlist = ic::circuit::read_bench_file(a.positional[1]);
   ic::attack::NetlistOracle oracle(oracle_netlist);
   ic::attack::AttackOptions options;
-  options.max_conflicts = std::stoull(opt(a, "max-conflicts", "0"));
+  options.max_conflicts = num<std::uint64_t>(a, "max-conflicts", 0);
   const std::string model = opt(a, "model", "");
   if (!model.empty()) {
     auto estimator = ic::core::RuntimeEstimator::from_file(model);
@@ -266,11 +318,11 @@ int cmd_dataset(const Args& a) {
   IC_CHECK(a.positional.size() == 2, "dataset needs <circuit.bench> <out.dataset>");
   const auto circuit = ic::circuit::read_bench_file(a.positional[0]);
   ic::data::DatasetOptions options;
-  options.num_instances = std::stoul(opt(a, "instances", "60"));
-  options.min_gates = std::stoul(opt(a, "min", "1"));
-  options.max_gates = std::stoul(opt(a, "max", "16"));
+  options.num_instances = num<std::size_t>(a, "instances", 60);
+  options.min_gates = num<std::size_t>(a, "min", 1);
+  options.max_gates = num<std::size_t>(a, "max", 16);
   options.attack.max_conflicts = 50000;
-  options.seed = std::stoull(opt(a, "seed", "1"));
+  options.seed = num<std::uint64_t>(a, "seed", 1);
   options.jobs = ic::support::ThreadPool::effective_jobs(0);
   const auto ds = ic::data::generate_dataset(circuit, options);
   ic::data::save_dataset(ds, a.positional[1]);
@@ -285,7 +337,7 @@ int cmd_train(const Args& a) {
   const auto circuit = ic::circuit::read_bench_file(a.positional[0]);
   const auto ds = ic::data::load_dataset(circuit, a.positional[1]);
   ic::core::EstimatorOptions options;
-  options.train.max_epochs = std::stoul(opt(a, "epochs", "400"));
+  options.train.max_epochs = num<std::size_t>(a, "epochs", 400);
   options.train.jobs = ic::support::ThreadPool::effective_jobs(0);
   ic::core::RuntimeEstimator estimator(options);
   const auto report = estimator.fit(ds);
@@ -366,18 +418,9 @@ ic::serve::JsonValue search_options_from_args(const Args& a) {
     search.set("scheme", JsonValue::string(it->second));
   }
   for (const auto& [flag, key] : kNumberFlags) {
-    const auto it = a.options.find(flag);
-    if (it == a.options.end()) continue;
-    const std::string& text = it->second;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    // A JSON number is finite: inf, nan and overflow are refused as well.
-    if (text.empty() || end != text.c_str() + text.size() ||
-        !std::isfinite(value)) {
-      throw UsageError("--" + std::string(flag) + " needs a number, got '" +
-                       text + "'");
+    if (a.options.count(flag) != 0) {
+      search.set(key, JsonValue::number(num<double>(a, flag, 0.0)));
     }
-    search.set(key, JsonValue::number(value));
   }
   return search;
 }
@@ -428,17 +471,17 @@ void print_search_summary(const ic::serve::JsonValue& doc) {
 }
 
 int cmd_search(const Args& a) {
-  const std::string port = opt(a, "port", "");
   const ic::serve::JsonValue options = search_options_from_args(a);
   const std::string out_path = opt(a, "out", "");
 
   ic::serve::JsonValue report_doc;
-  if (!port.empty()) {
+  if (a.options.count("port") != 0) {
     IC_CHECK(a.positional.empty(),
              "search --port takes no positional arguments");
     // Searches legitimately run for minutes; leave the IO unbounded like a
     // slow predict and rely on connect_timeout_ms for reachability.
-    ic::serve::Client client(opt(a, "host", "127.0.0.1"), std::stoi(port));
+    ic::serve::Client client(opt(a, "host", "127.0.0.1"),
+                             port_arg(a, "search"));
     ic::serve::WireRequest request;
     request.op = "search";
     request.model = opt(a, "model", "default");
@@ -462,7 +505,7 @@ int cmd_search(const Args& a) {
     ic::serve::ModelRegistry registry;
     registry.load("default", a.positional[1]);
     ic::serve::EngineOptions engine_options;
-    engine_options.max_batch = std::stoul(opt(a, "batch", "32"));
+    engine_options.max_batch = num<std::size_t>(a, "batch", 32);
     ic::serve::InferenceEngine engine(registry, engine_options);
     engine.register_circuit("default", circuit);
     ic::search::SearchService service(engine);
@@ -489,10 +532,10 @@ int cmd_serve(const Args& a) {
   registry.load("default", a.positional[1]);
 
   ic::serve::EngineOptions engine_options;
-  engine_options.max_queue = std::stoul(opt(a, "max-queue", "1024"));
-  engine_options.max_batch = std::stoul(opt(a, "batch", "32"));
-  engine_options.default_timeout_ms = std::stoll(opt(a, "timeout-ms", "-1"));
-  engine_options.slow_request_ms = std::stoll(opt(a, "slow-ms", "-1"));
+  engine_options.max_queue = num<std::size_t>(a, "max-queue", 1024);
+  engine_options.max_batch = num<std::size_t>(a, "batch", 32);
+  engine_options.default_timeout_ms = num<std::int64_t>(a, "timeout-ms", -1);
+  engine_options.slow_request_ms = num<std::int64_t>(a, "slow-ms", -1);
   ic::serve::InferenceEngine engine(registry, engine_options);
   engine.register_circuit("default", circuit);
 
@@ -502,8 +545,8 @@ int cmd_serve(const Args& a) {
 
   ic::serve::ServerOptions server_options;
   server_options.host = opt(a, "host", "127.0.0.1");
-  server_options.port = std::stoi(opt(a, "port", "0"));
-  server_options.reload_poll_ms = std::stoll(opt(a, "reload-ms", "1000"));
+  server_options.port = num<std::uint16_t>(a, "port", 0);
+  server_options.reload_poll_ms = num<std::int64_t>(a, "reload-ms", 1000);
   ic::serve::Server server(engine, registry, server_options);
   search_service.install(server);
   server.start();
@@ -548,17 +591,19 @@ void print_response(const ic::serve::WireResponse& response) {
 }
 
 int cmd_query(const Args& a) {
-  const std::string port = opt(a, "port", "");
-  IC_CHECK(!port.empty(), "query needs --port P");
+  const int port = port_arg(a, "query");
   // --timeout-ms keeps its meaning as the server-side request deadline; the
   // socket IO bound rides above it (deadline + slack, or 30s when none) so a
   // hung server still can't block the CLI forever.
-  const std::int64_t deadline_ms = std::stoll(opt(a, "timeout-ms", "-1"));
+  const std::int64_t deadline_ms = num<std::int64_t>(a, "timeout-ms", -1);
+  constexpr int kSlackMs = 5000;
   ic::serve::ClientOptions client_options;
   client_options.io_timeout_ms =
-      deadline_ms >= 0 ? static_cast<int>(deadline_ms) + 5000 : 30000;
-  ic::serve::Client client(opt(a, "host", "127.0.0.1"), std::stoi(port),
-                           client_options);
+      deadline_ms >= 0
+          ? static_cast<int>(std::min<std::int64_t>(
+                deadline_ms, std::numeric_limits<int>::max() - kSlackMs)) +
+                kSlackMs
+          : 30000;
 
   ic::serve::WireRequest request;
   request.op = opt(a, "op", "predict");
@@ -573,10 +618,11 @@ int cmd_query(const Args& a) {
   }
   if (request.op == "profile") {
     request.action = opt(a, "action", "dump");
-    request.seconds = std::stod(opt(a, "seconds", "0"));
-    request.hz = std::stoll(opt(a, "hz", "0"));
+    request.seconds = num<double>(a, "seconds", 0.0);
+    request.hz = num<std::int64_t>(a, "hz", 0);
   }
 
+  ic::serve::Client client(opt(a, "host", "127.0.0.1"), port, client_options);
   const auto response = client.call(request);
   if (!response.ok) {
     std::fprintf(stderr, "error: %s (%s)\n", response.error.c_str(),
@@ -620,7 +666,7 @@ int cmd_query(const Args& a) {
 /// (default 5000) so pointing them at an unreachable or hung server fails
 /// fast with a clear error instead of blocking.
 ic::serve::ClientOptions probe_options(const Args& a) {
-  const int timeout_ms = std::stoi(opt(a, "timeout-ms", "5000"));
+  const int timeout_ms = num<int>(a, "timeout-ms", 5000);
   ic::serve::ClientOptions options;
   options.connect_timeout_ms = timeout_ms;
   options.io_timeout_ms = timeout_ms;
@@ -628,9 +674,7 @@ ic::serve::ClientOptions probe_options(const Args& a) {
 }
 
 int cmd_stats(const Args& a) {
-  const std::string port = opt(a, "port", "");
-  IC_CHECK(!port.empty(), "stats needs --port P");
-  ic::serve::Client client(opt(a, "host", "127.0.0.1"), std::stoi(port),
+  ic::serve::Client client(opt(a, "host", "127.0.0.1"), port_arg(a, "stats"),
                            probe_options(a));
   const auto response = client.stats(opt(a, "format", ""));
   if (!response.ok) {
@@ -643,9 +687,7 @@ int cmd_stats(const Args& a) {
 }
 
 int cmd_health(const Args& a) {
-  const std::string port = opt(a, "port", "");
-  IC_CHECK(!port.empty(), "health needs --port P");
-  ic::serve::Client client(opt(a, "host", "127.0.0.1"), std::stoi(port),
+  ic::serve::Client client(opt(a, "host", "127.0.0.1"), port_arg(a, "health"),
                            probe_options(a));
   const auto response = client.health();
   if (!response.ok) {
@@ -722,12 +764,13 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) {
       ic::telemetry::TraceCollector::global().set_enabled(true);
     }
-    const std::string metrics_interval = take_opt(args, "metrics-interval");
-    if (!metrics_interval.empty()) {
+    if (const auto ms = take_num<std::int64_t>(
+            args, "metrics-interval", 1,
+            static_cast<std::int64_t>(kMaxIntervalSeconds * 1000.0))) {
       IC_CHECK(!metrics_out.empty(),
                "--metrics-interval needs --metrics-out <file>");
       flusher = std::make_unique<ic::telemetry::MetricsFlusher>(
-          metrics_out, std::chrono::milliseconds(std::stoll(metrics_interval)));
+          metrics_out, std::chrono::milliseconds(*ms));
     }
     const std::string profile_out = take_opt(args, "profile-out");
     if (!profile_out.empty()) {
@@ -736,12 +779,11 @@ int main(int argc, char** argv) {
     } else {
       ic::telemetry::profile_from_env();  // ICNET_PROFILE_OUT=path[,hz][,seconds]
     }
-    const std::string jobs = take_opt(args, "jobs");
-    if (!jobs.empty()) {
-      IC_CHECK(std::stoul(jobs) > 0, "--jobs must be >= 1");
+    if (const auto jobs = take_num<std::size_t>(
+            args, "jobs", 1, std::numeric_limits<std::size_t>::max())) {
       // Publishing through IC_JOBS (before any pool exists) makes one flag
       // reach every jobs=0 option and the global kernel pool alike.
-      setenv("IC_JOBS", jobs.c_str(), 1);
+      setenv("IC_JOBS", std::to_string(*jobs).c_str(), 1);
     }
     // Flight recorder: long-running commands get crash/stall dumps by
     // default; any command can opt in with an explicit path, or out with
@@ -757,13 +799,11 @@ int main(int argc, char** argv) {
       ic::telemetry::set_flight_dump_path(flight_path);
       ic::telemetry::install_crash_handlers(/*handle_sigterm=*/cmd != "serve");
     }
-    const std::string progress_interval = take_opt(args, "progress-interval");
-    if (!progress_interval.empty()) {
-      const double seconds = std::stod(progress_interval);
-      IC_CHECK(seconds > 0.0, "--progress-interval must be > 0 seconds");
+    if (const auto seconds = take_num<double>(args, "progress-interval",
+                                              0.001, kMaxIntervalSeconds)) {
       ic::telemetry::HeartbeatOptions hb;
       hb.interval = std::chrono::milliseconds(
-          static_cast<std::int64_t>(seconds * 1000.0));
+          static_cast<std::int64_t>(*seconds * 1000.0));
       // The user asked to watch: heartbeats bypass the log threshold.
       hb.always_log = true;
       hb.stall_after = std::max<std::chrono::milliseconds>(

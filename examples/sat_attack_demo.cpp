@@ -5,17 +5,25 @@
 // Usage: sat_attack_demo [circuit] [num_locked_gates]
 //   circuit ∈ {c17, c499, c1355, c2670, paper_main} (default c499)
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "ic/attack/sat_attack.hpp"
 #include "ic/circuit/bench_io.hpp"
 #include "ic/circuit/library.hpp"
 #include "ic/locking/lut_lock.hpp"
 #include "ic/locking/policy.hpp"
+#include "ic/support/strings.hpp"
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "c499";
-  const std::size_t k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 6;
+  const auto gates = argc > 2 ? ic::parse_number<std::size_t>(argv[2])
+                              : std::optional<std::size_t>(6);
+  if (!gates) {
+    std::fprintf(stderr, "num_locked_gates must be a whole number, got '%s'\n",
+                 argv[2]);
+    return 2;
+  }
+  const std::size_t k = *gates;
 
   const auto original = ic::circuit::circuit_by_name(name);
   std::printf("%s: %zu gates, %zu inputs, %zu outputs\n", name.c_str(),

@@ -114,11 +114,11 @@ Netlist parse_bench(std::string_view text, std::string name) {
         if (head_parts.size() != 2) {
           parse_error(line_no, "KLUT needs a key base: name = KLUT <n> (a,b)");
         }
-        try {
-          pg.key_base = std::stoi(head_parts[1]);
-        } catch (const std::exception&) {
+        const auto key_base = parse_number<std::int32_t>(head_parts[1]);
+        if (!key_base) {
           parse_error(line_no, "bad KLUT key base '" + head_parts[1] + "'");
         }
+        pg.key_base = *key_base;
       } else if (head_parts.size() != 1) {
         parse_error(line_no, "unexpected tokens before '(' in '" + line + "'");
       }

@@ -17,8 +17,8 @@ circuit::Netlist apply_key(const circuit::Netlist& locked,
                            const std::vector<bool>& key);
 
 /// Decompose every fixed-function LUT into AND/OR/NOT gates (sum of
-/// minterms, then cleaned by optimize()); the result contains only standard
-/// gate primitives and can be written as structural Verilog.
+/// minterms); the result contains only standard gate primitives and can be
+/// written as structural Verilog.
 circuit::Netlist lut_to_gates(const circuit::Netlist& netlist);
 
 }  // namespace ic::locking

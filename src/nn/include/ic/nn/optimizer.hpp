@@ -1,4 +1,5 @@
-// First-order optimizers operating on (parameter, gradient) matrix pairs.
+// The optimizer that trains ICNet: Adam over (parameter, gradient) matrix
+// pairs.
 #pragma once
 
 #include <vector>
@@ -7,45 +8,24 @@
 
 namespace ic::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using the current gradients. The pairing of
-  /// `parameters[i]` with `gradients[i]` must be stable across calls.
-  virtual void step(const std::vector<graph::Matrix*>& parameters,
-                    const std::vector<graph::Matrix*>& gradients) = 0;
-};
-
 /// Adam (Kingma & Ba) — the optimizer the paper trains with (§IV.B).
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr = 1e-2, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8, double weight_decay = 0.0)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
         weight_decay_(weight_decay) {}
 
+  /// Apply one update using the current gradients. The pairing of
+  /// `parameters[i]` with `gradients[i]` must be stable across calls.
   void step(const std::vector<graph::Matrix*>& parameters,
-            const std::vector<graph::Matrix*>& gradients) override;
+            const std::vector<graph::Matrix*>& gradients);
 
  private:
   double lr_, beta1_, beta2_, eps_;
   double weight_decay_;  ///< decoupled (AdamW-style) decay
   std::vector<graph::Matrix> m_, v_;
   long t_ = 0;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr = 1e-3, double momentum = 0.0)
-      : lr_(lr), momentum_(momentum) {}
-
-  void step(const std::vector<graph::Matrix*>& parameters,
-            const std::vector<graph::Matrix*>& gradients) override;
-
- private:
-  double lr_, momentum_;
-  std::vector<graph::Matrix> velocity_;
 };
 
 }  // namespace ic::nn

@@ -40,32 +40,4 @@ void Adam::step(const std::vector<Matrix*>& params,
   }
 }
 
-void Sgd::step(const std::vector<Matrix*>& params,
-               const std::vector<Matrix*>& grads) {
-  IC_ASSERT(params.size() == grads.size());
-  if (velocity_.empty() && momentum_ != 0.0) {
-    for (const Matrix* p : params) velocity_.emplace_back(p->rows(), p->cols());
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Matrix& p = *params[i];
-    const Matrix& g = *grads[i];
-    IC_ASSERT(p.same_shape(g));
-    if (momentum_ != 0.0) {
-      Matrix& vel = velocity_[i];
-      for (std::size_t r = 0; r < p.rows(); ++r) {
-        for (std::size_t c = 0; c < p.cols(); ++c) {
-          vel(r, c) = momentum_ * vel(r, c) - lr_ * g(r, c);
-          p(r, c) += vel(r, c);
-        }
-      }
-    } else {
-      for (std::size_t r = 0; r < p.rows(); ++r) {
-        for (std::size_t c = 0; c < p.cols(); ++c) {
-          p(r, c) -= lr_ * g(r, c);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace ic::nn

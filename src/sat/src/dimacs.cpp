@@ -1,11 +1,21 @@
 #include "ic/sat/dimacs.hpp"
 
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 
 #include "ic/support/assert.hpp"
 #include "ic/support/strings.hpp"
 
 namespace ic::sat {
+
+namespace {
+
+/// Most variables a DIMACS input may use: Lit encodes 2 * var + sign in an
+/// int32_t, so 0-based variables stop at 2^30 - 1.
+constexpr std::int64_t kMaxVars = std::int64_t{1} << 30;
+
+}  // namespace
 
 void Cnf::add_clause(std::vector<Lit> lits) {
   for (Lit l : lits) {
@@ -33,28 +43,29 @@ Cnf parse_dimacs(std::string_view text) {
       const auto parts = split(lv, " \t");
       IC_CHECK(parts.size() == 4 && parts[1] == "cnf",
                "bad DIMACS header: '" << line << "'");
-      try {
-        declared_vars = static_cast<std::size_t>(std::stoul(parts[2]));
-        declared_clauses = static_cast<std::size_t>(std::stoul(parts[3]));
-      } catch (const std::exception&) {
-        input_error("bad DIMACS header counts: '" + line + "'");
-      }
+      const auto vars = parse_number<std::size_t>(parts[2]);
+      const auto clauses = parse_number<std::size_t>(parts[3]);
+      IC_CHECK(vars && clauses, "bad DIMACS header counts: '" << line << "'");
+      IC_CHECK(*vars <= static_cast<std::size_t>(kMaxVars),
+               "DIMACS header declares " << *vars << " variables; at most "
+                                         << kMaxVars << " are supported");
+      declared_vars = *vars;
+      declared_clauses = *clauses;
       have_header = true;
       continue;
     }
     for (const auto& tok : split(lv, " \t")) {
-      long v = 0;
-      try {
-        v = std::stol(tok);
-      } catch (const std::exception&) {
-        input_error("bad DIMACS literal '" + tok + "'");
-      }
-      if (v == 0) {
+      const auto v = parse_number<std::int64_t>(tok);
+      IC_CHECK(v, "bad DIMACS literal '" << tok << "'");
+      IC_CHECK(*v >= -kMaxVars && *v <= kMaxVars,
+               "DIMACS literal " << *v << " is out of range (variables 1.."
+                                 << kMaxVars << ")");
+      if (*v == 0) {
         cnf.add_clause(current);
         current.clear();
       } else {
-        const Var var = static_cast<Var>(std::labs(v) - 1);
-        current.emplace_back(var, v < 0);
+        const Var var = static_cast<Var>(std::abs(*v) - 1);
+        current.emplace_back(var, *v < 0);
       }
     }
   }

@@ -24,8 +24,8 @@
 // report byte-identically (WireSearchMatchesInProcessByteForByte).
 //
 // Slow-request parity with predict: a search slower end-to-end (enqueue →
-// response ready) than the engine's resolved slow-request threshold
-// (EngineOptions::slow_request_ms / IC_SLOW_REQUEST_MS, the CLI's --slow-ms)
+// response ready) than the engine's slow-request threshold
+// (EngineOptions::slow_request_ms, the CLI's --slow-ms)
 // bumps search.slow_requests and logs one "search.slow_request" warn line
 // carrying the request_id, circuit, queue wait, and search time. Every
 // search also feeds the search.request_seconds and search.queue_wait_seconds

@@ -134,9 +134,9 @@ void SearchService::worker_loop() {
                                       started)
             .count();
     request_seconds_.observe(queue_wait + search_time);
-    // Same --slow-ms policy as the predict path (the engine resolved the
-    // option/env once); searches are orders of magnitude slower than
-    // predicts, but the operator asked for one threshold on "a request".
+    // Same --slow-ms policy as the predict path; searches are orders of
+    // magnitude slower than predicts, but the operator asked for one
+    // threshold on "a request".
     const std::int64_t slow_ms = engine_.slow_request_ms();
     if (slow_ms >= 0 && (queue_wait + search_time) * 1e3 >
                             static_cast<double>(slow_ms)) {

@@ -50,11 +50,10 @@
 // is recorded once, by its timeline: bounded in the TraceStore
 // ({"op":"traces"}), aggregated in serve.stage.*; it opens no trace span of
 // its own, so `serve --trace-out` does not grow with traffic. Requests slower
-// end-to-end than the slow-request threshold (EngineOptions::
-// slow_request_ms, or the IC_SLOW_REQUEST_MS environment variable when the
-// option is left at -1) additionally emit one "serve.slow_request" warn log
-// line carrying the request_id, circuit fingerprint (0 when the request
-// failed before its circuit was found), queue wait, and compute time.
+// end-to-end than EngineOptions::slow_request_ms (the CLI's --slow-ms)
+// additionally emit one "serve.slow_request" warn log line carrying the
+// request_id, circuit fingerprint (0 when the request failed before its
+// circuit was found), queue wait, and compute time.
 #pragma once
 
 #include <atomic>
@@ -94,8 +93,7 @@ struct EngineOptions {
   std::size_t jobs = 0;
   std::int64_t default_timeout_ms = -1;  ///< applied when a request has none
   /// End-to-end latency (ms) above which a request logs a
-  /// "serve.slow_request" warn line. -1 = read IC_SLOW_REQUEST_MS from the
-  /// environment (absent/unparseable disables the log entirely).
+  /// "serve.slow_request" warn line. -1 = off.
   std::int64_t slow_request_ms = -1;
 };
 
@@ -190,10 +188,10 @@ class InferenceEngine {
   /// Exists so tests can fill the queue deterministically; stop() resumes.
   void set_paused(bool paused);
 
-  /// Resolved slow-request threshold in ms (-1 = logging disabled). Shared
+  /// Slow-request threshold in ms (-1 = logging disabled). Shared
   /// with the search service so {"op":"search"} participates in the same
   /// --slow-ms policy as predict.
-  std::int64_t slow_request_ms() const { return slow_request_ms_; }
+  std::int64_t slow_request_ms() const { return options_.slow_request_ms; }
 
   /// Tail-sampled request timelines (K slowest + 1-in-N uniform), the
   /// backing store of the {"op":"traces"} admin op.
@@ -255,7 +253,6 @@ class InferenceEngine {
   /// Heartbeat slot: requests served and live queue depth. The engine idles
   /// legitimately between requests, so the stall watchdog is off.
   telemetry::ProgressJob progress_{"serve.engine"};
-  std::int64_t slow_request_ms_ = -1;  ///< resolved option/env; -1 = off
   std::atomic<std::uint64_t> next_request_id_{0};
 
   mutable std::mutex circuits_mu_;  // guards the table, not its entries

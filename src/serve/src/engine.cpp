@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 
 #include "ic/circuit/bench_io.hpp"
@@ -83,26 +82,6 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, EngineOptions options)
           "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {
   IC_CHECK(options_.max_queue >= 1, "EngineOptions::max_queue must be >= 1");
   IC_CHECK(options_.max_batch >= 1, "EngineOptions::max_batch must be >= 1");
-  slow_request_ms_ = options_.slow_request_ms;
-  if (slow_request_ms_ < 0) {
-    if (const char* env = std::getenv("IC_SLOW_REQUEST_MS")) {
-      char* end = nullptr;
-      const long value = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && value >= 0) {
-        slow_request_ms_ = value;
-      } else if (*env != '\0') {
-        // Same contract as IC_LOG_LEVEL: a set-but-unparsable knob warns once
-        // naming the value and the accepted range instead of silently keeping
-        // slow-request logging disabled.
-        static std::once_flag warned;
-        std::call_once(warned, [env] {
-          ICLOG(warn) << "IC_SLOW_REQUEST_MS='" << env
-                      << "' is not a threshold (accepted: integers >= 0, "
-                      << "milliseconds); slow-request logging stays disabled";
-        });
-      }
-    }
-  }
   for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
     const auto stage = static_cast<telemetry::Stage>(s);
     stage_hist_[s] = &telemetry::MetricsRegistry::global().histogram(
@@ -233,8 +212,9 @@ PredictResult InferenceEngine::process(Pending& pending) {
   out.request_id = request.request_id;
   const double compute =
       std::chrono::duration<double>(Clock::now() - started).count();
-  if (slow_request_ms_ >= 0 &&
-      (queue_wait + compute) * 1e3 > static_cast<double>(slow_request_ms_)) {
+  if (options_.slow_request_ms >= 0 &&
+      (queue_wait + compute) * 1e3 >
+          static_cast<double>(options_.slow_request_ms)) {
     slow_requests_.add(1);
     ICLOG(warn) << "serve.slow_request"
                 << telemetry::kv("request_id", request.request_id)

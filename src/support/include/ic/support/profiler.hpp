@@ -35,8 +35,9 @@ struct ProfilerOptions {
   int hz = 99;
   /// Preallocated sample capacity; samples past this are counted as dropped.
   std::size_t max_samples = 1 << 18;
-  /// Stop automatically after this many seconds of profiling (0 = until
-  /// stop()). Checked in-handler so no watcher thread is needed.
+  /// Stop automatically after this many seconds of profiling (0, or a
+  /// deadline past what the clock can represent = until stop()). Checked
+  /// in-handler so no watcher thread is needed.
   double seconds = 0.0;
 };
 

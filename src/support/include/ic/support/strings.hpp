@@ -1,11 +1,37 @@
 // Small string helpers shared by the parsers and report writers.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ic {
+
+/// The one way the tree reads a number from text (CLI flags, environment
+/// variables, .bench and DIMACS files). The whole of `text` must be one
+/// number that T can hold: for an integer T, decimal digits with a leading
+/// '-' only when T is signed; for a floating T, a finite decimal value.
+/// Anything else — empty text, surrounding spaces, a '+' sign, a trailing
+/// suffix ("12abc"), a fraction for an integer T, a value that over- or
+/// underflows T, inf or nan — gives std::nullopt.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
+                "parse_number reads integers and floating-point values");
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    // from_chars spells "inf" and "nan" as numbers; a parameter never is.
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 /// Remove leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s);

@@ -6,14 +6,17 @@
 #include <time.h>
 #include <ucontext.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cxxabi.h>
+#include <limits>
 #include <map>
 #include <mutex>
 
 #include "ic/support/log.hpp"
+#include "ic/support/strings.hpp"
 
 namespace ic::telemetry {
 
@@ -147,12 +150,17 @@ bool Profiler::start(const ProfilerOptions& options) {
   next_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   deadline_hit_.store(false, std::memory_order_relaxed);
-  deadline_us_.store(
-      options_.seconds > 0.0
-          ? monotonic_micros() +
-                static_cast<std::int64_t>(options_.seconds * 1e6)
-          : 0,
-      std::memory_order_release);
+  // A deadline the clock cannot represent (seconds = 1e300, inf) means no
+  // deadline, as seconds = 0 does.
+  std::int64_t deadline_us = 0;
+  const std::int64_t now_us = monotonic_micros();
+  const std::int64_t room_us = std::numeric_limits<std::int64_t>::max() - now_us;
+  const double budget_us = options_.seconds * 1e6;
+  if (options_.seconds > 0.0 && budget_us < static_cast<double>(room_us)) {
+    deadline_us =
+        now_us + std::min(room_us, static_cast<std::int64_t>(budget_us));
+  }
+  deadline_us_.store(deadline_us, std::memory_order_release);
   g_profiler.store(this, std::memory_order_release);
 
   struct sigaction action {};
@@ -306,6 +314,24 @@ void set_profile_output(const std::string& path) {
   g_profile_output = path;
 }
 
+namespace {
+
+/// One numeric field of ICNET_PROFILE_OUT. Same contract as IC_JOBS: a
+/// field that is set but is not a number warns, naming the value, and
+/// `field` keeps its default.
+template <typename T>
+void read_profile_field(const std::string& text, const char* name, T& field) {
+  if (text.empty()) return;
+  if (const auto value = parse_number<T>(text)) {
+    field = *value;
+    return;
+  }
+  ICLOG(warn) << "ICNET_PROFILE_OUT " << name << "='" << text
+              << "' is not a number; keeping the default " << field;
+}
+
+}  // namespace
+
 bool profile_from_env() {
   const char* spec = std::getenv("ICNET_PROFILE_OUT");
   if (spec == nullptr || spec[0] == '\0') return false;
@@ -318,11 +344,10 @@ bool profile_from_env() {
     path = text.substr(0, first_comma);
     const std::string rest = text.substr(first_comma + 1);
     const std::size_t second_comma = rest.find(',');
-    const std::string hz_text =
-        second_comma == std::string::npos ? rest : rest.substr(0, second_comma);
-    if (!hz_text.empty()) options.hz = std::atoi(hz_text.c_str());
+    read_profile_field(rest.substr(0, second_comma), "hz", options.hz);
     if (second_comma != std::string::npos) {
-      options.seconds = std::atof(rest.c_str() + second_comma + 1);
+      read_profile_field(rest.substr(second_comma + 1), "seconds",
+                         options.seconds);
     }
   }
   if (path.empty()) return false;

@@ -8,6 +8,7 @@
 #include "ic/support/assert.hpp"
 #include "ic/support/log.hpp"
 #include "ic/support/metrics.hpp"
+#include "ic/support/strings.hpp"
 #include "ic/support/trace.hpp"
 
 namespace ic::support {
@@ -51,11 +52,7 @@ std::size_t ThreadPool::effective_jobs(std::size_t requested) {
   if (requested > 0) return requested;
   const char* env = std::getenv("IC_JOBS");
   if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
+    if (const auto v = parse_number<std::size_t>(env); v && *v > 0) return *v;
     // Same contract as IC_LOG_LEVEL: a set-but-unparsable knob warns once
     // naming the value and the accepted range instead of silently degrading
     // a parallel run to one worker.

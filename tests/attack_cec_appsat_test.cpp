@@ -5,7 +5,6 @@
 #include "ic/bdd/circuit_bdd.hpp"
 #include "ic/circuit/generator.hpp"
 #include "ic/circuit/library.hpp"
-#include "ic/circuit/optimize.hpp"
 #include "ic/circuit/simulator.hpp"
 #include "ic/locking/anti_sat.hpp"
 #include "ic/locking/lut_lock.hpp"
@@ -27,16 +26,33 @@ TEST(Cec, IdenticalCircuitsAreEquivalent) {
   EXPECT_FALSE(r.counterexample.has_value());
 }
 
-TEST(Cec, OptimizedCircuitStaysEquivalent) {
-  circuit::GeneratorSpec spec;
-  spec.num_inputs = 14;
-  spec.num_outputs = 7;
-  spec.num_gates = 120;
-  spec.seed = 9;
-  const Netlist nl = circuit::generate_circuit(spec, "cecopt");
-  const auto opt = circuit::optimize(nl);
-  const CecResult r = check_equivalence(nl, {}, opt.netlist, {});
+TEST(Cec, DeMorganRewriteStaysEquivalent) {
+  // c17 with every NAND(a, b) rebuilt as OR(NOT a, NOT b): the same
+  // functions over a structurally different netlist.
+  const Netlist nl = circuit::c17();
+  Netlist rewritten("c17_demorgan");
+  std::vector<GateId> remap(nl.size(), circuit::kNoGate);
+  for (const GateId id : nl.primary_inputs()) {
+    remap[id] = rewritten.add_input(nl.gate(id).name);
+  }
+  for (const GateId id : nl.topological_order()) {
+    const auto& g = nl.gate(id);
+    if (!circuit::is_logic(g.kind)) continue;
+    ASSERT_EQ(g.kind, GateKind::Nand) << g.name;
+    std::vector<GateId> inverted;
+    for (const GateId f : g.fanins) {
+      inverted.push_back(rewritten.add_gate(
+          GateKind::Not, {remap[f]},
+          g.name + "_not" + std::to_string(inverted.size())));
+    }
+    remap[id] = rewritten.add_gate(GateKind::Or, std::move(inverted), g.name);
+  }
+  for (const GateId o : nl.outputs()) rewritten.mark_output(remap[o]);
+  ASSERT_EQ(rewritten.num_logic_gates(), 3 * nl.num_logic_gates());
+
+  const CecResult r = check_equivalence(nl, {}, rewritten, {});
   EXPECT_TRUE(r.equivalent);
+  EXPECT_TRUE(r.decided);
 }
 
 TEST(Cec, DifferentCircuitsYieldARealCounterexample) {

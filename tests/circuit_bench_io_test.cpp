@@ -127,7 +127,16 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"MissingEquals", "INPUT(a)\nOUTPUT(y)\ny NOT(a)\n"},
         BadInput{"LutWithoutConstant", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = LUT (a, b)\n"},
         BadInput{"KlutBadBase",
-                 "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = KLUT zero (a, b)\n"}),
+                 "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = KLUT zero (a, b)\n"},
+        // The key inputs exist, so only the base's text is at fault.
+        BadInput{"KlutBaseWithSuffix",
+                 "INPUT(a)\nINPUT(b)\nINPUT(keyinput0)\nINPUT(keyinput1)\n"
+                 "INPUT(keyinput2)\nINPUT(keyinput3)\nOUTPUT(y)\n"
+                 "y = KLUT 0abc (a, b)\n"},
+        BadInput{"KlutFractionalBase",
+                 "INPUT(a)\nINPUT(b)\nINPUT(keyinput0)\nINPUT(keyinput1)\n"
+                 "INPUT(keyinput2)\nINPUT(keyinput3)\nOUTPUT(y)\n"
+                 "y = KLUT 0.5 (a, b)\n"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST(BenchIo, FileIoRoundTrip) {

@@ -167,18 +167,6 @@ TEST(Adam, ConvergesOnQuadraticBowl) {
   EXPECT_LT(Matrix::max_abs_diff(p, t), 1e-3);
 }
 
-TEST(Sgd, MomentumConvergesOnQuadraticBowl) {
-  Matrix p(1, 3, 2.0);
-  Matrix g(1, 3);
-  const Matrix t{{1.0, -1.0, 0.5}};
-  Sgd sgd(0.05, 0.9);
-  for (int it = 0; it < 400; ++it) {
-    g = (p - t) * 2.0;
-    sgd.step({&p}, {&g});
-  }
-  EXPECT_LT(Matrix::max_abs_diff(p, t), 1e-3);
-}
-
 TEST(Adam, RejectsChangedParameterSet) {
   Matrix p1(1, 1), p2(2, 2), g1(1, 1), g2(2, 2);
   Adam adam(0.01);

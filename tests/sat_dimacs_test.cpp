@@ -42,6 +42,22 @@ TEST(Dimacs, Errors) {
   EXPECT_THROW(parse_dimacs("p cnf 2 5\n1 0\n"), std::runtime_error);   // count mismatch
   EXPECT_THROW(parse_dimacs("p cnf x y\n"), std::runtime_error);        // bad header
   EXPECT_THROW(parse_dimacs("p cnf 1 1\nfoo 0\n"), std::runtime_error); // bad literal
+  // Numbers must be whole and fit: Lit encodes variables up to 2^30.
+  EXPECT_THROW(parse_dimacs("p cnf 1 1\n3000000000 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 1 1\n-9223372036854775808 0\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 1 1\n1073741825 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf -1 1\n1 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 2x 1\n1 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 1073741825 1\n1 0\n"), std::runtime_error);
+  EXPECT_THROW(parse_dimacs("p cnf 1 1\n+1 0\n"), std::runtime_error);
+}
+
+TEST(Dimacs, AcceptsTheLargestEncodableVariable) {
+  const Cnf cnf = parse_dimacs("p cnf 1073741824 1\n-1073741824 0\n");
+  EXPECT_EQ(cnf.num_vars, std::size_t{1} << 30);
+  ASSERT_EQ(cnf.clauses.size(), 1u);
+  EXPECT_EQ(cnf.clauses[0][0].dimacs(), -1073741824);
 }
 
 TEST(Dimacs, CnfSatisfiedEvaluates) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ic/support/rng.hpp"
@@ -98,10 +101,25 @@ TEST(ThreadPool, EffectiveJobsResolution) {
   setenv("IC_JOBS", "5", 1);
   EXPECT_EQ(ThreadPool::effective_jobs(0), 5u);
   EXPECT_EQ(ThreadPool::effective_jobs(2), 2u);  // option still wins
-  setenv("IC_JOBS", "garbage", 1);
-  EXPECT_EQ(ThreadPool::effective_jobs(0), 1u);
-  setenv("IC_JOBS", "0", 1);
-  EXPECT_EQ(ThreadPool::effective_jobs(0), 1u);
+  {
+    // -1 would wrap to 2^64 - 1 workers. The first bad value of the process
+    // warns, naming it.
+    auto sink = std::make_shared<telemetry::MemorySink>();
+    const auto previous_sink = telemetry::Logger::instance().sink();
+    telemetry::Logger::instance().set_sink(sink);
+    setenv("IC_JOBS", "-1", 1);
+    EXPECT_EQ(ThreadPool::effective_jobs(0), 1u);
+    telemetry::Logger::instance().set_sink(previous_sink);
+    const auto lines = sink->lines();
+    EXPECT_TRUE(std::any_of(lines.begin(), lines.end(), [](const auto& line) {
+      return line.find("IC_JOBS='-1'") != std::string::npos;
+    })) << "IC_JOBS=-1 must warn";
+  }
+  for (const char* bad : {"garbage", "0", " 4", "+4", "4abc", "2.5",
+                          "18446744073709551616"}) {
+    setenv("IC_JOBS", bad, 1);
+    EXPECT_EQ(ThreadPool::effective_jobs(0), 1u) << "IC_JOBS='" << bad << "'";
+  }
   unsetenv("IC_JOBS");
 }
 

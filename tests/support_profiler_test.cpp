@@ -11,11 +11,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ic/support/log.hpp"
 #include "ic/support/profiler.hpp"
 #include "ic/support/timeline.hpp"
 
@@ -169,6 +171,23 @@ TEST(Profiler, DeadlineDisarmsSamplingInHandler) {
   EXPECT_TRUE(profiler.stop());
 }
 
+TEST(Profiler, UnrepresentableDeadlineMeansNoDeadline) {
+  // seconds * 1e6 is past what the microsecond clock can hold: the profiler
+  // samples until stop(), as with seconds = 0.
+  Profiler& profiler = Profiler::global();
+  ProfilerOptions options;
+  options.hz = 997;
+  options.max_samples = 4096;
+  options.seconds = 1e300;
+  ASSERT_TRUE(profiler.start(options));
+  spin_until_samples(8, 10.0);
+  EXPECT_TRUE(profiler.running());
+  EXPECT_GT(profiler.sample_count(), 0u)
+      << "an unreachable deadline must not disarm the sampler";
+  EXPECT_TRUE(profiler.stop());
+  EXPECT_FALSE(profiler.running());
+}
+
 TEST(Profiler, RestartBeginsAFreshCapture) {
   Profiler& profiler = Profiler::global();
   ProfilerOptions options;
@@ -212,6 +231,34 @@ TEST(Profiler, OnlyProfileOutArmsTheSamplerFromTheEnvironment) {
   profile_flush();
   EXPECT_FALSE(profiler.running());
   EXPECT_TRUE(std::ifstream(path).good()) << "no folded capture at " << path;
+}
+
+TEST(Profiler, BadEnvironmentFieldWarnsNamingTheValue) {
+  Profiler& profiler = Profiler::global();
+  ASSERT_FALSE(profiler.running());
+  auto sink = std::make_shared<MemorySink>();
+  const auto previous_sink = Logger::instance().sink();
+  Logger::instance().set_sink(sink);
+
+  const std::string path = ::testing::TempDir() + "profile_env_bad.folded";
+  setenv("ICNET_PROFILE_OUT", (path + ",12abc,1e300").c_str(), 1);
+  EXPECT_TRUE(profile_from_env()) << "a bad field must not disarm the capture";
+  unsetenv("ICNET_PROFILE_OUT");
+  EXPECT_TRUE(profiler.running());
+  profile_flush();
+  EXPECT_FALSE(profiler.running());
+  std::remove(path.c_str());
+  Logger::instance().set_sink(previous_sink);
+
+  const auto lines = sink->lines();
+  const auto warned = [&lines](const std::string& needle) {
+    for (const auto& line : lines) {
+      if (line.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(warned("hz='12abc'")) << "the bad hz field must be named";
+  EXPECT_FALSE(warned("seconds='")) << "1e300 is a number: no warning";
 }
 
 // ---- Timeline --------------------------------------------------------------

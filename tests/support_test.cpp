@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string_view>
 
 #include "ic/support/assert.hpp"
 #include "ic/support/rng.hpp"
@@ -54,6 +57,65 @@ TEST(Strings, EscapeJson) {
   EXPECT_EQ(escape_json("line1\nline2\ttab"), "line1\\nline2\\ttab");
   EXPECT_EQ(escape_json(std::string_view("\x01", 1)), "\\u0001");
   EXPECT_EQ(json_quote("k\"v"), "\"k\\\"v\"");
+}
+
+struct NumberCase {
+  std::string_view text;
+  bool as_int;     // std::int32_t
+  bool as_u64;     // std::uint64_t
+  bool as_double;
+};
+
+TEST(ParseNumber, TableOfTextsPerKindOfType) {
+  const NumberCase kCases[] = {
+      {"42", true, true, true},
+      {"0", true, true, true},
+      {"-2", true, false, true},   // '-' only for a signed integer
+      {"-0", true, false, true},
+      {"2.9", false, false, true}, // no fraction for an integer
+      {"1e3", false, false, true},
+      {".5", false, false, true},
+      {"", false, false, false},
+      {" 4", false, false, false},
+      {"4 ", false, false, false},
+      {"+4", false, false, false},
+      {"abc", false, false, false},
+      {"12abc", false, false, false},
+      {"0x10", false, false, false},
+      {"1e999", false, false, false},
+      {"1e-999", false, false, false},
+      {"inf", false, false, false},
+      {"-inf", false, false, false},
+      {"nan", false, false, false},
+      {"2147483648", false, true, true},  // one past int32 max
+      {"-2147483649", false, false, true},
+      {"18446744073709551616", false, false, true},  // one past uint64 max
+      {"1.8e308", false, false, false},   // one past double max
+  };
+  for (const NumberCase& c : kCases) {
+    EXPECT_EQ(parse_number<std::int32_t>(c.text).has_value(), c.as_int)
+        << "int32 '" << c.text << "'";
+    EXPECT_EQ(parse_number<std::uint64_t>(c.text).has_value(), c.as_u64)
+        << "uint64 '" << c.text << "'";
+    EXPECT_EQ(parse_number<double>(c.text).has_value(), c.as_double)
+        << "double '" << c.text << "'";
+  }
+}
+
+TEST(ParseNumber, AcceptsEachTypesMinimumAndMaximum) {
+  using I = std::numeric_limits<std::int32_t>;
+  using U = std::numeric_limits<std::uint64_t>;
+  using P = std::numeric_limits<std::uint16_t>;
+  using D = std::numeric_limits<double>;
+  EXPECT_EQ(parse_number<std::int32_t>("-2147483648"), I::min());
+  EXPECT_EQ(parse_number<std::int32_t>("2147483647"), I::max());
+  EXPECT_EQ(parse_number<std::uint64_t>("0"), U::min());
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), U::max());
+  EXPECT_EQ(parse_number<std::uint16_t>("65535"), P::max());
+  EXPECT_FALSE(parse_number<std::uint16_t>("65536"));
+  EXPECT_EQ(parse_number<double>("-1.7976931348623157e308"), D::lowest());
+  EXPECT_EQ(parse_number<double>("1.7976931348623157e308"), D::max());
+  EXPECT_EQ(parse_number<double>("-1e3"), -1000.0);
 }
 
 TEST(Assert, ContractViolationThrowsLogicError) {

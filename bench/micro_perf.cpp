@@ -72,21 +72,11 @@ void BM_SolveEquivalenceMiter(benchmark::State& state) {
   for (auto _ : state) {
     ic::sat::Solver solver;
     const auto e1 = ic::attack::encode_netlist(nl, solver);
-    ic::attack::EncodeShared sh;
-    sh.inputs = e1.input_vars;
-    const auto e2 = ic::attack::encode_netlist(nl, solver, sh);
-    std::vector<ic::sat::Lit> any;
-    for (std::size_t o = 0; o < e1.output_vars.size(); ++o) {
-      const auto d = solver.new_var();
-      const auto a = e1.output_vars[o];
-      const auto b = e2.output_vars[o];
-      solver.add_clause({ic::sat::neg(d), ic::sat::pos(a), ic::sat::pos(b)});
-      solver.add_clause({ic::sat::neg(d), ic::sat::neg(a), ic::sat::neg(b)});
-      solver.add_clause({ic::sat::pos(d), ic::sat::neg(a), ic::sat::pos(b)});
-      solver.add_clause({ic::sat::pos(d), ic::sat::pos(a), ic::sat::neg(b)});
-      any.push_back(ic::sat::pos(d));
-    }
-    solver.add_clause(any);
+    std::vector<ic::sat::Var> shared(nl.size(), ic::sat::kNoVar);
+    for (const auto id : nl.primary_inputs()) shared[id] = e1.gate_vars[id];
+    const auto e2 = ic::attack::encode_netlist(nl, solver, std::move(shared));
+    solver.add_clause(
+        ic::attack::output_diffs(solver, e1.output_vars, e2.output_vars));
     benchmark::DoNotOptimize(solver.solve());
   }
 }

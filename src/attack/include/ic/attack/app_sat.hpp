@@ -40,7 +40,7 @@ struct AppSatResult {
   std::uint64_t propagations = 0;
 };
 
-/// Run the approximate attack. Preconditions as sat_attack().
+/// Run the approximate attack. Starts with check_attack_inputs().
 AppSatResult app_sat_attack(const circuit::Netlist& locked, Oracle& oracle,
                             const AppSatOptions& options = {});
 

@@ -1,12 +1,14 @@
 // Tseitin encoding of a netlist into a SAT solver's clause database.
 //
 // Each gate gets a solver variable constrained to equal its Boolean function
-// of the fanin variables. Primary-input and key variables can be shared with
-// a previous encoding (that is how the attack builds its two-key miter and
-// its per-DIP oracle-consistency copies).
+// of the fanin variables. A caller can pre-assign any gate's variable: that
+// is how the attack builds its two-key miter (the second copy shares the
+// inputs and the key-independent gates of the first) and its per-DIP
+// oracle-consistency copies (keys shared, gates outside the key cone fixed to
+// unit-constrained constants). The solver sizes itself: its vectors grow
+// geometrically, so no encode pre-reserves capacity.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "ic/circuit/netlist.hpp"
@@ -21,32 +23,21 @@ struct CircuitEncoding {
   std::vector<sat::Var> output_vars;  ///< outputs() order
 };
 
-struct EncodeShared {
-  /// When set, reuse these variables for the primary inputs / key inputs
-  /// instead of creating fresh ones. Sizes must match the netlist.
-  std::optional<std::vector<sat::Var>> inputs;
-  std::optional<std::vector<sat::Var>> keys;
-
-  /// Cone-of-influence reduction: gates with a known constant value are
-  /// mapped to `const_true` / `const_false` (solver variables the caller has
-  /// unit-fixed) and emit no clauses. Size must match the netlist; Undef
-  /// means "encode normally". Requires both constant vars.
-  const std::vector<sat::LBool>* fixed_values = nullptr;
-  sat::Var const_true = sat::kNoVar;
-  sat::Var const_false = sat::kNoVar;
-
-  /// Structural sharing: gates where `reuse_mask` is true take their
-  /// variable from `reuse_gate_vars` (a previous encoding of the same
-  /// netlist with the same input variables) and emit no clauses. Used for
-  /// the miter's second copy, whose key-independent half is identical to
-  /// the first copy's.
-  const std::vector<sat::Var>* reuse_gate_vars = nullptr;
-  const std::vector<bool>* reuse_mask = nullptr;
-};
-
-/// Encode `netlist` into `solver`. Adds O(gates) variables and clauses.
+/// Encode `netlist` into `solver`. `vars` is empty or has one entry per gate
+/// (indexed by GateId). A gate whose entry is set takes that variable and
+/// emits no clause: a shared input, the other miter copy's gate, or a
+/// constant the caller has unit-fixed. Every other gate gets a fresh
+/// variable, in this order: primary inputs, key inputs, then logic gates in
+/// topological order.
 CircuitEncoding encode_netlist(const circuit::Netlist& netlist,
                                sat::Solver& solver,
-                               const EncodeShared& shared = {});
+                               std::vector<sat::Var> vars = {});
+
+/// Miter outputs: for each pair (a[i], b[i]) a fresh variable d_i with
+/// d_i ↔ a[i] ⊕ b[i]. Returns the positive d_i literals, in order; the caller
+/// adds them (plus any guard literal) as the "some output differs" clause.
+std::vector<sat::Lit> output_diffs(sat::Solver& solver,
+                                   const std::vector<sat::Var>& a,
+                                   const std::vector<sat::Var>& b);
 
 }  // namespace ic::attack

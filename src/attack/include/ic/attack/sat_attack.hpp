@@ -30,8 +30,10 @@ struct AttackOptions {
   double max_wall_seconds = 0.0;
   /// Estimator prediction of this attack's runtime in seconds (<= 0 = none).
   /// Observability only: surfaced as the heartbeat's predicted-vs-elapsed
-  /// ETA, and on completion the predicted/realized pair is recorded into the
-  /// estimator.calibration.* histograms. Never steers the attack.
+  /// ETA, and on completion the prediction and the attack's modeled seconds
+  /// (AttackResult::estimated_seconds(), what the labels measure) are
+  /// recorded into the estimator.calibration.* histograms. Never steers the
+  /// attack.
   double predicted_seconds = 0.0;
   sat::SolverConfig solver_config = {};
 };
@@ -60,8 +62,13 @@ struct AttackResult {
   }
 };
 
+/// Input errors at an attack's door: throws std::runtime_error, naming the
+/// counts, when `locked` has no key inputs or the oracle's input or output
+/// count differs from the netlist's.
+void check_attack_inputs(const circuit::Netlist& locked, const Oracle& oracle);
+
 /// Run the SAT attack against `locked` using `oracle` as the activated chip.
-/// Preconditions: locked.num_keys() > 0; oracle shapes match the netlist.
+/// Starts with check_attack_inputs().
 AttackResult sat_attack(const circuit::Netlist& locked, Oracle& oracle,
                         const AttackOptions& options = {});
 

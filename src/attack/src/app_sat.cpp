@@ -7,6 +7,7 @@
 
 namespace ic::attack {
 
+using circuit::GateId;
 using circuit::Netlist;
 using sat::Lit;
 using sat::Result;
@@ -15,31 +16,21 @@ using sat::Var;
 
 AppSatResult app_sat_attack(const Netlist& locked, Oracle& oracle,
                             const AppSatOptions& options) {
-  IC_ASSERT_MSG(locked.num_keys() > 0, "netlist has no key inputs to attack");
-  IC_ASSERT(oracle.num_inputs() == locked.num_inputs());
+  check_attack_inputs(locked, oracle);
 
   AppSatResult result;
   Solver solver(options.solver_config);
 
   const CircuitEncoding enc1 = encode_netlist(locked, solver);
-  EncodeShared shared;
-  shared.inputs = enc1.input_vars;
-  const CircuitEncoding enc2 = encode_netlist(locked, solver, shared);
+  std::vector<Var> shared(locked.size(), sat::kNoVar);
+  for (GateId id : locked.primary_inputs()) shared[id] = enc1.gate_vars[id];
+  const CircuitEncoding enc2 = encode_netlist(locked, solver, std::move(shared));
 
   const Var act = solver.new_var();
-  std::vector<Lit> any_diff;
+  std::vector<Lit> any_diff =
+      output_diffs(solver, enc1.output_vars, enc2.output_vars);
   any_diff.push_back(sat::neg(act));
-  for (std::size_t o = 0; o < enc1.output_vars.size(); ++o) {
-    const Var d = solver.new_var();
-    const Var x = enc1.output_vars[o];
-    const Var y = enc2.output_vars[o];
-    solver.add_clause({sat::neg(d), sat::pos(x), sat::pos(y)});
-    solver.add_clause({sat::neg(d), sat::neg(x), sat::neg(y)});
-    solver.add_clause({sat::pos(d), sat::neg(x), sat::pos(y)});
-    solver.add_clause({sat::pos(d), sat::pos(x), sat::neg(y)});
-    any_diff.push_back(sat::pos(d));
-  }
-  solver.add_clause(std::move(any_diff));
+  solver.add_clause(any_diff);
 
   const circuit::Simulator locked_sim(locked);
   Rng rng(options.seed);
@@ -49,10 +40,10 @@ AppSatResult app_sat_attack(const Netlist& locked, Oracle& oracle,
   // keys satisfy the same constraint set — we constrain both for symmetry).
   auto add_io_constraint = [&](const std::vector<bool>& in,
                                const std::vector<bool>& out) {
-    for (const auto* keys : {&enc1.key_vars, &enc2.key_vars}) {
-      EncodeShared sh;
-      sh.keys = *keys;
-      const CircuitEncoding copy = encode_netlist(locked, solver, sh);
+    for (const CircuitEncoding* enc : {&enc1, &enc2}) {
+      std::vector<Var> keys(locked.size(), sat::kNoVar);
+      for (GateId k : locked.key_inputs()) keys[k] = enc->gate_vars[k];
+      const CircuitEncoding copy = encode_netlist(locked, solver, std::move(keys));
       for (std::size_t i = 0; i < in.size(); ++i) {
         solver.add_clause({Lit(copy.input_vars[i], !in[i])});
       }

@@ -21,9 +21,11 @@ CecResult check_equivalence(const Netlist& a, const std::vector<bool>& key_a,
 
   Solver solver(config);
   const CircuitEncoding enc_a = encode_netlist(a, solver);
-  EncodeShared shared;
-  shared.inputs = enc_a.input_vars;
-  const CircuitEncoding enc_b = encode_netlist(b, solver, shared);
+  std::vector<Var> shared(b.size(), sat::kNoVar);
+  for (std::size_t i = 0; i < b.num_inputs(); ++i) {
+    shared[b.primary_inputs()[i]] = enc_a.input_vars[i];
+  }
+  const CircuitEncoding enc_b = encode_netlist(b, solver, std::move(shared));
 
   // Fix the keys.
   for (std::size_t i = 0; i < key_a.size(); ++i) {
@@ -34,18 +36,7 @@ CecResult check_equivalence(const Netlist& a, const std::vector<bool>& key_a,
   }
 
   // Miter: at least one output differs.
-  std::vector<Lit> any;
-  for (std::size_t o = 0; o < enc_a.output_vars.size(); ++o) {
-    const Var d = solver.new_var();
-    const Var x = enc_a.output_vars[o];
-    const Var y = enc_b.output_vars[o];
-    solver.add_clause({sat::neg(d), sat::pos(x), sat::pos(y)});
-    solver.add_clause({sat::neg(d), sat::neg(x), sat::neg(y)});
-    solver.add_clause({sat::pos(d), sat::neg(x), sat::pos(y)});
-    solver.add_clause({sat::pos(d), sat::pos(x), sat::neg(y)});
-    any.push_back(sat::pos(d));
-  }
-  solver.add_clause(std::move(any));
+  solver.add_clause(output_diffs(solver, enc_a.output_vars, enc_b.output_vars));
 
   CecResult result;
   const Result r = solver.solve();

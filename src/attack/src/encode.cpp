@@ -112,133 +112,32 @@ void encode_lut(Solver& s, Var y, const std::vector<Var>& f, const Gate& g,
   }
 }
 
-// Upper-bound the CNF footprint of `nl` so the solver can pre-size its
-// variable tables, watch lists, and clause arena in one shot (the encode
-// loop then grows nothing). Mirrors the per-kind clause shapes in the
-// encoders above; gates skipped by cone reduction or reuse only make the
-// bound looser, which costs nothing but reserved capacity.
-void reserve_for_netlist(const Netlist& nl, Solver& solver) {
-  std::size_t vars = nl.num_inputs() + nl.num_keys();
-  std::size_t clauses = 0;
-  std::size_t literals = 0;
-  for (GateId id : nl.topological_order()) {
-    const Gate& g = nl.gate(id);
-    if (!circuit::is_logic(g.kind)) continue;
-    const std::size_t f = g.fanins.size();
-    switch (g.kind) {
-      case GateKind::Buf:
-      case GateKind::Not:
-        vars += 1;
-        clauses += 2;
-        literals += 4;
-        break;
-      case GateKind::And:
-      case GateKind::Nand:
-      case GateKind::Or:
-      case GateKind::Nor:
-        vars += 1;
-        clauses += f + 1;
-        literals += 3 * f + 1;
-        break;
-      case GateKind::Xor:
-      case GateKind::Xnor:
-        // Pairwise fold: f-1 XOR2 blocks of 4 ternary clauses, f-2 temps.
-        vars += f - 1;
-        clauses += 4 * (f - 1);
-        literals += 12 * (f - 1);
-        break;
-      case GateKind::Lut: {
-        const std::size_t rows = std::size_t{1} << f;
-        const std::size_t per_row = g.key_base >= 0 ? 2 : 1;
-        vars += 1;
-        clauses += rows * per_row;
-        literals += rows * per_row * (f + 2);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  solver.reserve(vars, clauses, literals);
-}
-
 }  // namespace
 
 CircuitEncoding encode_netlist(const Netlist& nl, Solver& solver,
-                               const EncodeShared& shared) {
-  CircuitEncoding enc;
-  enc.gate_vars.assign(nl.size(), sat::kNoVar);
-  reserve_for_netlist(nl, solver);
-
-  if (shared.inputs) {
-    IC_ASSERT_MSG(shared.inputs->size() == nl.num_inputs(),
-                  "shared input vector size mismatch");
-  }
-  if (shared.keys) {
-    IC_ASSERT_MSG(shared.keys->size() == nl.num_keys(),
-                  "shared key vector size mismatch");
-  }
-
-  if (shared.fixed_values != nullptr) {
-    IC_ASSERT_MSG(shared.fixed_values->size() == nl.size(),
-                  "fixed_values size mismatch");
-    IC_ASSERT_MSG(shared.const_true != sat::kNoVar &&
-                      shared.const_false != sat::kNoVar,
-                  "fixed_values requires const_true/const_false vars");
-  }
-  if (shared.reuse_mask != nullptr) {
-    IC_ASSERT_MSG(shared.reuse_gate_vars != nullptr &&
-                      shared.reuse_mask->size() == nl.size() &&
-                      shared.reuse_gate_vars->size() == nl.size(),
-                  "reuse_mask/reuse_gate_vars size mismatch");
-  }
-  auto fixed_var = [&](GateId id) -> Var {
-    if (shared.fixed_values == nullptr) return sat::kNoVar;
-    switch ((*shared.fixed_values)[id]) {
-      case sat::LBool::True: return shared.const_true;
-      case sat::LBool::False: return shared.const_false;
-      case sat::LBool::Undef: return sat::kNoVar;
-    }
-    return sat::kNoVar;
+                               std::vector<Var> vars) {
+  IC_ASSERT_MSG(vars.empty() || vars.size() == nl.size(),
+                vars.size() << " pre-assigned variables for a netlist of "
+                            << nl.size() << " gates");
+  vars.resize(nl.size(), sat::kNoVar);
+  auto var_of = [&](GateId id) {
+    if (vars[id] == sat::kNoVar) vars[id] = solver.new_var();
+    return vars[id];
   };
 
   // Sources first so key_vars is complete before any LUT is encoded.
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-    const GateId id = nl.primary_inputs()[i];
-    Var v = fixed_var(id);
-    if (v == sat::kNoVar) {
-      v = shared.inputs ? (*shared.inputs)[i] : solver.new_var();
-    }
-    enc.gate_vars[id] = v;
-    enc.input_vars.push_back(v);
-  }
-  for (std::size_t i = 0; i < nl.num_keys(); ++i) {
-    const Var v = shared.keys ? (*shared.keys)[i] : solver.new_var();
-    enc.gate_vars[nl.key_inputs()[i]] = v;
-    enc.key_vars.push_back(v);
-  }
+  CircuitEncoding enc;
+  for (GateId id : nl.primary_inputs()) enc.input_vars.push_back(var_of(id));
+  for (GateId id : nl.key_inputs()) enc.key_vars.push_back(var_of(id));
 
   for (GateId id : nl.topological_order()) {
     const Gate& g = nl.gate(id);
-    if (!circuit::is_logic(g.kind)) continue;
-    if (shared.reuse_mask != nullptr && (*shared.reuse_mask)[id]) {
-      const Var r = (*shared.reuse_gate_vars)[id];
-      IC_ASSERT_MSG(r != sat::kNoVar, "reused gate var is unset");
-      enc.gate_vars[id] = r;
-      continue;
-    }
-    if (const Var f = fixed_var(id); f != sat::kNoVar) {
-      enc.gate_vars[id] = f;
-      continue;
-    }
+    if (!circuit::is_logic(g.kind) || vars[id] != sat::kNoVar) continue;
     const Var y = solver.new_var();
-    enc.gate_vars[id] = y;
+    vars[id] = y;
     std::vector<Var> f;
     f.reserve(g.fanins.size());
-    for (GateId fin : g.fanins) {
-      IC_ASSERT(enc.gate_vars[fin] != sat::kNoVar);
-      f.push_back(enc.gate_vars[fin]);
-    }
+    for (GateId fin : g.fanins) f.push_back(vars[fin]);
     switch (g.kind) {
       case GateKind::Buf: encode_buf(solver, y, f[0], false); break;
       case GateKind::Not: encode_buf(solver, y, f[0], true); break;
@@ -254,11 +153,22 @@ CircuitEncoding encode_netlist(const Netlist& nl, Solver& solver,
     }
   }
 
-  for (GateId id : nl.outputs()) {
-    IC_ASSERT(enc.gate_vars[id] != sat::kNoVar);
-    enc.output_vars.push_back(enc.gate_vars[id]);
-  }
+  for (GateId id : nl.outputs()) enc.output_vars.push_back(vars[id]);
+  enc.gate_vars = std::move(vars);
   return enc;
+}
+
+std::vector<Lit> output_diffs(Solver& solver, const std::vector<Var>& a,
+                              const std::vector<Var>& b) {
+  IC_ASSERT(a.size() == b.size());
+  std::vector<Lit> diffs;
+  diffs.reserve(a.size() + 1);  // room for the caller's guard literal
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Var d = solver.new_var();
+    encode_xor2(solver, d, a[i], b[i]);
+    diffs.push_back(sat::pos(d));
+  }
+  return diffs;
 }
 
 }  // namespace ic::attack

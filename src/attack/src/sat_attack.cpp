@@ -16,11 +16,22 @@ using sat::Result;
 using sat::Solver;
 using sat::Var;
 
+void check_attack_inputs(const Netlist& locked, const Oracle& oracle) {
+  IC_CHECK(locked.num_keys() > 0, "netlist '" << locked.name()
+                                   << "' has 0 key inputs: nothing to attack");
+  IC_CHECK(oracle.num_inputs() == locked.num_inputs(),
+           "the oracle has " << oracle.num_inputs()
+                             << " inputs but the locked netlist has "
+                             << locked.num_inputs());
+  IC_CHECK(oracle.num_outputs() == locked.num_outputs(),
+           "the oracle has " << oracle.num_outputs()
+                             << " outputs but the locked netlist has "
+                             << locked.num_outputs());
+}
+
 AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
                         const AttackOptions& options) {
-  IC_ASSERT_MSG(locked.num_keys() > 0, "netlist has no key inputs to attack");
-  IC_ASSERT(oracle.num_inputs() == locked.num_inputs());
-  IC_ASSERT(oracle.num_outputs() == locked.num_outputs());
+  check_attack_inputs(locked, oracle);
 
   AttackResult result;
   Timer timer;
@@ -74,34 +85,24 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
   // Two copies sharing inputs and the entire key-independent half, with
   // independent keys.
   const CircuitEncoding enc1 = encode_netlist(locked, solver);
-  EncodeShared shared;
-  shared.inputs = enc1.input_vars;
-  shared.reuse_gate_vars = &enc1.gate_vars;
-  std::vector<bool> reuse_mask(locked.size());
-  for (std::size_t i = 0; i < locked.size(); ++i) {
-    reuse_mask[i] = !key_dependent[i];
+  std::vector<Var> shared(locked.size(), sat::kNoVar);
+  for (std::size_t g = 0; g < locked.size(); ++g) {
+    if (!key_dependent[g]) shared[g] = enc1.gate_vars[g];
   }
-  shared.reuse_mask = &reuse_mask;
-  const CircuitEncoding enc2 = encode_netlist(locked, solver, shared);
+  const CircuitEncoding enc2 = encode_netlist(locked, solver, std::move(shared));
 
   // Miter: act → OR_i (y1_i ⊕ y2_i), restricted to key-dependent outputs —
   // the others are the same variable in both copies and can never differ.
-  const Var act = solver.new_var();
-  std::vector<Lit> any_diff;
-  any_diff.push_back(sat::neg(act));
-  for (std::size_t i = 0; i < enc1.output_vars.size(); ++i) {
+  std::vector<Var> outs1, outs2;
+  for (std::size_t i = 0; i < locked.num_outputs(); ++i) {
     if (!key_dependent[locked.outputs()[i]]) continue;
-    const Var d = solver.new_var();
-    const Var a = enc1.output_vars[i];
-    const Var b = enc2.output_vars[i];
-    // d ↔ a ⊕ b
-    solver.add_clause({sat::neg(d), sat::pos(a), sat::pos(b)});
-    solver.add_clause({sat::neg(d), sat::neg(a), sat::neg(b)});
-    solver.add_clause({sat::pos(d), sat::neg(a), sat::pos(b)});
-    solver.add_clause({sat::pos(d), sat::pos(a), sat::neg(b)});
-    any_diff.push_back(sat::pos(d));
+    outs1.push_back(enc1.output_vars[i]);
+    outs2.push_back(enc2.output_vars[i]);
   }
-  solver.add_clause(std::move(any_diff));
+  const Var act = solver.new_var();
+  std::vector<Lit> any_diff = output_diffs(solver, outs1, outs2);
+  any_diff.push_back(sat::neg(act));
+  solver.add_clause(any_diff);
 
   miter_span.end();
   metrics.histogram("sat_attack.miter_build_seconds").observe(miter_timer.seconds());
@@ -139,16 +140,18 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     if (result.hit_cap) metrics.counter("sat_attack.caps_hit").add(1);
     metrics.gauge("sat_attack.last_wall_seconds").set(result.wall_seconds);
 
-    // Calibration telemetry: the estimator's prediction against the realized
-    // wall time. Capped attacks are excluded from the error histograms (their
-    // realized time is the cap, not the workload) but counted, so the capped
-    // fraction is visible next to the error distribution.
+    // Calibration telemetry: the estimator's prediction against the modeled
+    // seconds the labels are made of (estimated_seconds(); datasets label
+    // with it unless use_wall_time is set), so the error measures the model
+    // and not the machine. Capped attacks are excluded from the error
+    // histograms (their effort is the cap, not the workload) but counted, so
+    // the capped fraction is visible next to the error distribution.
     if (options.predicted_seconds > 0.0) {
       metrics.counter("estimator.calibration.samples").add(1);
       if (result.hit_cap) {
         metrics.counter("estimator.calibration.capped").add(1);
       } else {
-        const double actual = std::max(result.wall_seconds, 1e-9);
+        const double actual = std::max(result.estimated_seconds(), 1e-9);
         // Signed log-ratio: negative = overprediction, positive = the attack
         // outlived its estimate; one decade per unit.
         metrics
@@ -224,20 +227,15 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     // Constrain both key copies to reproduce the oracle response on the
     // DIP. Only the key-dependent cone is encoded: every other gate's value
     // under this DIP is key-independent and folded to a constant.
-    std::vector<sat::LBool> fixed(locked.size(), sat::LBool::Undef);
+    std::vector<Var> fixed(locked.size(), sat::kNoVar);
     const auto dip_values = locked_sim.eval_all(dip, zero_key);
     for (std::size_t g = 0; g < locked.size(); ++g) {
-      if (!key_dependent[g]) {
-        fixed[g] = sat::lbool_from(dip_values[g]);
-      }
+      if (!key_dependent[g]) fixed[g] = dip_values[g] ? const_true : const_false;
     }
-    for (const auto* keys : {&enc1.key_vars, &enc2.key_vars}) {
-      EncodeShared sh;
-      sh.keys = *keys;
-      sh.fixed_values = &fixed;
-      sh.const_true = const_true;
-      sh.const_false = const_false;
-      const CircuitEncoding copy = encode_netlist(locked, solver, sh);
+    for (const CircuitEncoding* enc : {&enc1, &enc2}) {
+      std::vector<Var> vars = fixed;
+      for (circuit::GateId k : locked.key_inputs()) vars[k] = enc->gate_vars[k];
+      const CircuitEncoding copy = encode_netlist(locked, solver, std::move(vars));
       for (std::size_t i = 0; i < response.size(); ++i) {
         // Key-independent outputs are const vars and the unit is dropped as
         // satisfied (the simulation matches the oracle there by

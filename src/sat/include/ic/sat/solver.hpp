@@ -63,13 +63,6 @@ class Solver {
   Var new_var();
   std::size_t num_vars() const { return static_cast<std::size_t>(next_var_); }
 
-  /// Pre-size for `extra_vars` more variables and `extra_clauses` more
-  /// clauses totalling `extra_literals` literals, so the encode loops grow
-  /// no vector. Purely a capacity hint; over-estimates waste only address
-  /// space reservations.
-  void reserve(std::size_t extra_vars, std::size_t extra_clauses,
-               std::size_t extra_literals);
-
   /// Add a problem clause. Returns false if the clause (or the accumulated
   /// formula) is already trivially unsatisfiable at level 0; the solver then
   /// answers Unsat forever.

@@ -49,24 +49,6 @@ Var Solver::new_var() {
   return v;
 }
 
-void Solver::reserve(std::size_t extra_vars, std::size_t extra_clauses,
-                     std::size_t extra_literals) {
-  const std::size_t vars = num_vars() + extra_vars;
-  assigns_.reserve(vars);
-  polarity_.reserve(vars);
-  level_.reserve(vars);
-  reason_.reserve(vars);
-  activity_.reserve(vars);
-  heap_pos_.reserve(vars);
-  seen_.reserve(vars);
-  heap_.reserve(vars);
-  trail_.reserve(vars);
-  watches_.reserve(2 * vars);
-  clauses_.reserve(clauses_.size() + extra_clauses);
-  // One header word per clause plus one word per literal.
-  arena_.reserve(extra_clauses + extra_literals);
-}
-
 // ---------------------------------------------------------------- clauses --
 
 void Solver::attach_clause(ClauseRef ref) {

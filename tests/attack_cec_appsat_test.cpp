@@ -169,6 +169,26 @@ TEST(AppSat, RespectsIterationCap) {
   }
 }
 
+TEST(AppSat, RefusesAnUnlockedNetlistAndAnOracleOfAnotherShape) {
+  const Netlist original = circuit::c17();
+  NetlistOracle same(original);
+  EXPECT_THROW(app_sat_attack(original, same), std::runtime_error);
+
+  // Same 5 inputs as c17, but 3 outputs where c17 has 2.
+  Netlist wider("wider");
+  std::vector<GateId> in;
+  for (int i = 0; i < 5; ++i) in.push_back(wider.add_input("i" + std::to_string(i)));
+  for (int o = 0; o < 3; ++o) {
+    wider.mark_output(wider.add_gate(GateKind::Buf, {in[static_cast<std::size_t>(o)]},
+                                     "o" + std::to_string(o)));
+  }
+  const auto sel =
+      locking::select_gates(original, 2, locking::SelectionPolicy::Random, 3);
+  NetlistOracle oracle(wider);
+  EXPECT_THROW(app_sat_attack(locking::lut_lock(original, sel).locked, oracle),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace ic::attack
 

@@ -11,10 +11,12 @@
 namespace ic::attack {
 namespace {
 
+using circuit::GateId;
 using circuit::Netlist;
 using sat::Lit;
 using sat::Result;
 using sat::Solver;
+using sat::Var;
 
 /// Assert that the CNF encoding of `nl` agrees with the simulator on
 /// `trials` random (input, key) patterns: fix sources with unit assumptions
@@ -113,33 +115,41 @@ TEST(Encode, SharedInputsTieTwoCopiesTogether) {
   const Netlist nl = circuit::c17();
   Solver solver;
   const CircuitEncoding enc1 = encode_netlist(nl, solver);
-  EncodeShared shared;
-  shared.inputs = enc1.input_vars;
+  std::vector<Var> shared(nl.size(), sat::kNoVar);
+  for (GateId id : nl.primary_inputs()) shared[id] = enc1.gate_vars[id];
   const CircuitEncoding enc2 = encode_netlist(nl, solver, shared);
+  EXPECT_EQ(enc2.input_vars, enc1.input_vars);
   // Two copies of a deterministic circuit with shared inputs can never
   // produce different outputs: the miter over them is UNSAT.
-  const sat::Var act = solver.new_var();
-  std::vector<Lit> any;
+  const Var act = solver.new_var();
+  std::vector<Lit> any = output_diffs(solver, enc1.output_vars, enc2.output_vars);
+  ASSERT_EQ(any.size(), nl.num_outputs());
   any.push_back(sat::neg(act));
-  for (std::size_t o = 0; o < enc1.output_vars.size(); ++o) {
-    const sat::Var d = solver.new_var();
-    solver.add_clause({sat::neg(d), sat::pos(enc1.output_vars[o]), sat::pos(enc2.output_vars[o])});
-    solver.add_clause({sat::neg(d), sat::neg(enc1.output_vars[o]), sat::neg(enc2.output_vars[o])});
-    solver.add_clause({sat::pos(d), sat::neg(enc1.output_vars[o]), sat::pos(enc2.output_vars[o])});
-    solver.add_clause({sat::pos(d), sat::pos(enc1.output_vars[o]), sat::neg(enc2.output_vars[o])});
-    any.push_back(sat::pos(d));
-  }
-  solver.add_clause(std::move(any));
+  solver.add_clause(any);
   EXPECT_EQ(solver.solve({sat::pos(act)}), Result::Unsat);
   EXPECT_EQ(solver.solve({sat::neg(act)}), Result::Sat);
+}
+
+TEST(Encode, OutputDiffIsTheXorOfItsPair) {
+  Solver solver;
+  const Var a = solver.new_var();
+  const Var b = solver.new_var();
+  const std::vector<Lit> d = output_diffs(solver, {a, b}, {b, a});
+  ASSERT_EQ(d.size(), 2u);
+  for (int m = 0; m < 4; ++m) {
+    const bool va = m & 1;
+    const bool vb = m & 2;
+    ASSERT_EQ(solver.solve({Lit(a, !va), Lit(b, !vb)}), Result::Sat);
+    EXPECT_EQ(solver.model_value(d[0].var()), va != vb) << m;
+    EXPECT_EQ(solver.model_value(d[1].var()), va != vb) << m;
+  }
 }
 
 TEST(Encode, ShapeMismatchOnSharedVectorsRejected) {
   const Netlist nl = circuit::c17();
   Solver solver;
-  EncodeShared shared;
-  shared.inputs = std::vector<sat::Var>{0, 1};  // c17 has 5 inputs
-  EXPECT_THROW(encode_netlist(nl, solver, shared), std::logic_error);
+  // c17 has 11 gates; a vector of 2 is neither empty nor one per gate.
+  EXPECT_THROW(encode_netlist(nl, solver, {0, 1}), std::logic_error);
 }
 
 }  // namespace
@@ -154,26 +164,22 @@ TEST(EncodeConeReduction, FixedValuesFoldToConstants) {
   const Netlist nl = circuit::c17();
   circuit::Simulator sim(nl);
   Solver solver;
-  const sat::Var ct = solver.new_var();
-  const sat::Var cf = solver.new_var();
+  const Var ct = solver.new_var();
+  const Var cf = solver.new_var();
   solver.add_clause({sat::pos(ct)});
   solver.add_clause({sat::neg(cf)});
 
   // Fix every gate to its simulated value for one pattern: the encoding
-  // then emits no real clauses and outputs are the right constants.
+  // then emits no clauses and the outputs are the right constants.
   const std::vector<bool> in{true, false, true, true, false};
   const auto values = sim.eval_all(in);
-  std::vector<sat::LBool> fixed(nl.size());
-  for (std::size_t g = 0; g < nl.size(); ++g) {
-    fixed[g] = sat::lbool_from(values[g]);
-  }
-  EncodeShared sh;
-  sh.fixed_values = &fixed;
-  sh.const_true = ct;
-  sh.const_false = cf;
+  std::vector<Var> fixed(nl.size());
+  for (std::size_t g = 0; g < nl.size(); ++g) fixed[g] = values[g] ? ct : cf;
+  const std::size_t vars_before = solver.num_vars();
   const std::size_t clauses_before = solver.num_clauses();
-  const CircuitEncoding enc = encode_netlist(nl, solver, sh);
-  EXPECT_EQ(solver.num_clauses(), clauses_before);  // everything folded
+  const CircuitEncoding enc = encode_netlist(nl, solver, fixed);
+  EXPECT_EQ(solver.num_vars(), vars_before);
+  EXPECT_EQ(solver.num_clauses(), clauses_before);
   ASSERT_EQ(solver.solve(), Result::Sat);
   const auto expected = sim.eval(in);
   for (std::size_t o = 0; o < expected.size(); ++o) {
@@ -189,21 +195,17 @@ TEST(EncodeConeReduction, PartialFixingStillMatchesSimulator) {
   Rng rng(31);
   for (int trial = 0; trial < 8; ++trial) {
     Solver solver;
-    const sat::Var ct = solver.new_var();
-    const sat::Var cf = solver.new_var();
+    const Var ct = solver.new_var();
+    const Var cf = solver.new_var();
     solver.add_clause({sat::pos(ct)});
     solver.add_clause({sat::neg(cf)});
     std::vector<bool> in(5);
     for (auto&& b : in) b = rng.bernoulli(0.5);
-    std::vector<sat::LBool> fixed(nl.size(), sat::LBool::Undef);
+    std::vector<Var> fixed(nl.size(), sat::kNoVar);
     for (std::size_t i = 0; i < 5; ++i) {
-      fixed[nl.primary_inputs()[i]] = sat::lbool_from(in[i]);
+      fixed[nl.primary_inputs()[i]] = in[i] ? ct : cf;
     }
-    EncodeShared sh;
-    sh.fixed_values = &fixed;
-    sh.const_true = ct;
-    sh.const_false = cf;
-    const CircuitEncoding enc = encode_netlist(nl, solver, sh);
+    const CircuitEncoding enc = encode_netlist(nl, solver, fixed);
     ASSERT_EQ(solver.solve(), Result::Sat);
     const auto expected = sim.eval(in);
     for (std::size_t o = 0; o < expected.size(); ++o) {
@@ -212,30 +214,101 @@ TEST(EncodeConeReduction, PartialFixingStillMatchesSimulator) {
   }
 }
 
-TEST(EncodeConeReduction, ReuseMaskSharesVariables) {
+TEST(EncodeConeReduction, PreassignedGatesTakeTheOtherCopysVariables) {
   const Netlist nl = circuit::c17();
   Solver solver;
   const CircuitEncoding enc1 = encode_netlist(nl, solver);
-  EncodeShared sh;
-  sh.inputs = enc1.input_vars;
-  std::vector<bool> reuse(nl.size(), true);
-  sh.reuse_gate_vars = &enc1.gate_vars;
-  sh.reuse_mask = &reuse;
   const std::size_t vars_before = solver.num_vars();
-  const CircuitEncoding enc2 = encode_netlist(nl, solver, sh);
+  const std::size_t clauses_before = solver.num_clauses();
+  const CircuitEncoding enc2 = encode_netlist(nl, solver, enc1.gate_vars);
   EXPECT_EQ(solver.num_vars(), vars_before);  // nothing new allocated
-  for (std::size_t g = 0; g < nl.size(); ++g) {
-    EXPECT_EQ(enc1.gate_vars[g], enc2.gate_vars[g]);
-  }
+  EXPECT_EQ(solver.num_clauses(), clauses_before);
+  EXPECT_EQ(enc2.gate_vars, enc1.gate_vars);
 }
 
-TEST(EncodeConeReduction, FixedValuesRequireConstVars) {
-  const Netlist nl = circuit::c17();
-  Solver solver;
-  std::vector<sat::LBool> fixed(nl.size(), sat::LBool::Undef);
-  EncodeShared sh;
-  sh.fixed_values = &fixed;  // const_true/false left unset
-  EXPECT_THROW(encode_netlist(nl, solver, sh), std::logic_error);
+/// Gates that can depend on the key: key inputs, key-programmed LUTs, and
+/// everything downstream of them (the attack's cone of influence).
+std::vector<bool> key_cone(const Netlist& nl) {
+  std::vector<bool> cone(nl.size(), false);
+  for (GateId id : nl.topological_order()) {
+    const circuit::Gate& g = nl.gate(id);
+    cone[id] = g.kind == circuit::GateKind::KeyInput ||
+               (g.kind == circuit::GateKind::Lut && g.key_base >= 0);
+    for (GateId f : g.fanins) cone[id] = cone[id] || cone[f];
+  }
+  return cone;
+}
+
+TEST(EncodeConeReduction, DipCopyEncodesOnlyTheKeyCone) {
+  // The SAT attack's per-DIP copy of a LUT-locked circuit: keys shared with
+  // another copy, every gate outside the key cone pre-assigned the constant
+  // the simulator gives it under the DIP, and only the cone encoded.
+  circuit::GeneratorSpec spec;
+  spec.num_inputs = 12;
+  spec.num_outputs = 6;
+  spec.num_gates = 90;
+  spec.seed = 23;
+  const Netlist original = circuit::generate_circuit(spec, "dip");
+  const auto sel =
+      locking::select_gates(original, 6, locking::SelectionPolicy::Random, 6);
+  const Netlist nl = locking::lut_lock(original, sel).locked;
+  const std::vector<bool> cone = key_cone(nl);
+  circuit::Simulator sim(nl);
+  Rng rng(41);
+  for (int trial = 0; trial < 8; ++trial) {
+    Solver solver;
+    const Var ct = solver.new_var();
+    const Var cf = solver.new_var();
+    solver.add_clause({sat::pos(ct)});
+    solver.add_clause({sat::neg(cf)});
+    const CircuitEncoding miter_copy = encode_netlist(nl, solver);
+
+    std::vector<bool> dip(nl.num_inputs());
+    std::vector<bool> key(nl.num_keys());
+    for (auto&& b : dip) b = rng.bernoulli(0.5);
+    for (auto&& b : key) b = rng.bernoulli(0.5);
+    const auto values = sim.eval_all(dip, key);
+    std::vector<Var> vars(nl.size(), sat::kNoVar);
+    std::size_t fresh = 0;  // variables the cone needs
+    std::size_t cone_gates = 0;
+    for (GateId g = 0; g < nl.size(); ++g) {
+      const circuit::Gate& gate = nl.gate(g);
+      if (!cone[g]) {
+        vars[g] = values[g] ? ct : cf;
+      } else if (gate.kind == circuit::GateKind::KeyInput) {
+        vars[g] = miter_copy.gate_vars[g];
+      } else {
+        ++cone_gates;
+        const bool xor_fold = gate.kind == circuit::GateKind::Xor ||
+                              gate.kind == circuit::GateKind::Xnor;
+        fresh += xor_fold ? gate.fanins.size() - 1 : 1;
+      }
+    }
+    ASSERT_GT(cone_gates, 0u);
+    ASSERT_LT(cone_gates, nl.num_logic_gates());
+
+    const std::size_t vars_before = solver.num_vars();
+    const CircuitEncoding enc = encode_netlist(nl, solver, vars);
+    EXPECT_EQ(solver.num_vars() - vars_before, fresh) << trial;
+    for (GateId g = 0; g < nl.size(); ++g) {
+      if (vars[g] != sat::kNoVar) {
+        EXPECT_EQ(enc.gate_vars[g], vars[g]);
+      }
+    }
+    EXPECT_EQ(enc.key_vars, miter_copy.key_vars);
+
+    // Under the key, the copy computes what the simulator does.
+    std::vector<Lit> assumptions;
+    for (std::size_t i = 0; i < key.size(); ++i) {
+      assumptions.emplace_back(enc.key_vars[i], !key[i]);
+    }
+    ASSERT_EQ(solver.solve(assumptions), Result::Sat) << trial;
+    const auto expected = sim.eval(dip, key);
+    for (std::size_t o = 0; o < expected.size(); ++o) {
+      EXPECT_EQ(solver.model_value(enc.output_vars[o]), expected[o])
+          << "trial " << trial << " output " << o;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ic/attack/sat_attack.hpp"
 #include "ic/circuit/generator.hpp"
 #include "ic/circuit/library.hpp"
@@ -157,16 +159,34 @@ TEST(SatAttack, HarderInstancesCostMore) {
 TEST(SatAttack, RequiresKeyInputs) {
   const Netlist original = circuit::c17();
   NetlistOracle oracle(original);
-  EXPECT_THROW(sat_attack(original, oracle), std::logic_error);
+  EXPECT_THROW(sat_attack(original, oracle), std::runtime_error);
+}
+
+/// A calibration histogram. The first call runs one predicted attack, so
+/// that sat_attack registers the histograms with its own bucket bounds: a
+/// lookup from a test first would fix the registry's default bounds instead.
+telemetry::Histogram& calibration_histogram(const std::string& name) {
+  static const bool registered = [] {
+    const Netlist original = circuit::c17();
+    const auto sel =
+        locking::select_gates(original, 2, locking::SelectionPolicy::Random, 3);
+    NetlistOracle oracle(original);
+    AttackOptions opt;
+    opt.predicted_seconds = 1.0;
+    return sat_attack(locking::lut_lock(original, sel).locked, oracle, opt)
+        .success;
+  }();
+  EXPECT_TRUE(registered);
+  return telemetry::MetricsRegistry::global().histogram(name);
 }
 
 TEST(SatAttack, PredictedRuntimeFeedsCalibrationTelemetry) {
   auto& metrics = telemetry::MetricsRegistry::global();
+  auto& signed_hist =
+      calibration_histogram("estimator.calibration.signed_log10_error");
+  auto& rel_hist = calibration_histogram("estimator.calibration.abs_rel_error");
   const std::uint64_t samples_before =
       metrics.counter("estimator.calibration.samples").value();
-  auto& signed_hist =
-      metrics.histogram("estimator.calibration.signed_log10_error");
-  auto& rel_hist = metrics.histogram("estimator.calibration.abs_rel_error");
   const std::uint64_t signed_before = signed_hist.count();
   const std::uint64_t rel_before = rel_hist.count();
 
@@ -184,6 +204,42 @@ TEST(SatAttack, PredictedRuntimeFeedsCalibrationTelemetry) {
             samples_before + 1);
   EXPECT_EQ(signed_hist.count(), signed_before + 1);
   EXPECT_EQ(rel_hist.count(), rel_before + 1);
+}
+
+TEST(SatAttack, CalibrationComparesThePredictionWithTheModeledSeconds) {
+  // The labels are modeled seconds, so calibration must be too: a
+  // prediction 10^0.75 times the attack's modeled seconds is an error of
+  // exactly -0.75 decades, whatever the machine's speed.
+  const Netlist original = circuit::c17();
+  const auto sel =
+      locking::select_gates(original, 2, locking::SelectionPolicy::Random, 3);
+  const auto locked = locking::lut_lock(original, sel);
+  NetlistOracle oracle(original);
+  const double modeled = sat_attack(locked.locked, oracle).estimated_seconds();
+
+  auto& signed_hist =
+      calibration_histogram("estimator.calibration.signed_log10_error");
+  auto& rel_hist = calibration_histogram("estimator.calibration.abs_rel_error");
+  const auto buckets_before = signed_hist.bucket_counts();
+  const double signed_sum_before = signed_hist.sum();
+  const double rel_sum_before = rel_hist.sum();
+
+  AttackOptions opt;
+  opt.predicted_seconds = modeled * std::pow(10.0, 0.75);
+  const AttackResult r = sat_attack(locked.locked, oracle, opt);
+  ASSERT_TRUE(r.success);
+  ASSERT_EQ(r.estimated_seconds(), modeled);  // the attack is deterministic
+
+  // Bounds {-3, -2, -1, -0.5, ...}: bucket 3 is (-1, -0.5].
+  const auto buckets = signed_hist.bucket_counts();
+  ASSERT_EQ(signed_hist.bounds()[2], -1.0);
+  ASSERT_EQ(signed_hist.bounds()[3], -0.5);
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    EXPECT_EQ(buckets[b] - buckets_before[b], b == 3 ? 1u : 0u) << "bucket " << b;
+  }
+  EXPECT_NEAR(signed_hist.sum() - signed_sum_before, -0.75, 1e-9);
+  EXPECT_NEAR(rel_hist.sum() - rel_sum_before, 1.0 - std::pow(10.0, -0.75),
+              1e-9);
 }
 
 TEST(SatAttack, NoPredictionMeansNoCalibrationSample) {

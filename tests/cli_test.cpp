@@ -90,4 +90,52 @@ TEST(Cli, BadNumericFlagsExitTwoNamingTheFlag) {
   std::remove(circuit_path.c_str());
 }
 
+/// Writes a .bench netlist with `inputs` inputs and one output, their AND.
+void write_and_netlist(const std::string& name, int inputs) {
+  std::ofstream out(::testing::TempDir() + name);
+  for (int i = 0; i < inputs; ++i) out << "INPUT(i" << i << ")\n";
+  out << "OUTPUT(o)\no = AND(i0";
+  for (int i = 1; i < inputs; ++i) out << ", i" << i;
+  out << ")\n";
+}
+
+TEST(Cli, AttackRefusesAnUnlockedNetlistAndAMismatchedOracleAsInputErrors) {
+  const std::string plain = temp_path("cli_test_plain.bench");
+  const std::string locked = temp_path("cli_test_locked.bench");
+  ASSERT_EQ(run_cli("gen " + plain + " --gates 40 --inputs 8 --seed 3").status, 0);
+  ASSERT_EQ(run_cli("lock " + plain + " " + locked + " --gates 3 --seed 5").status, 0);
+  const std::size_t outputs =
+      ic::circuit::read_bench_file(::testing::TempDir() + "cli_test_locked.bench")
+          .num_outputs();
+  ASSERT_GT(outputs, 1u);
+  write_and_netlist("cli_test_six_inputs.bench", 6);
+  write_and_netlist("cli_test_one_output.bench", 8);
+
+  struct Case {
+    std::string args;
+    std::string message;  ///< what stderr must say
+  };
+  const Case cases[] = {
+      {"attack " + plain + " " + plain, "has 0 key inputs"},
+      {"attack " + locked + " " + temp_path("cli_test_six_inputs.bench"),
+       "the oracle has 6 inputs but the locked netlist has 8"},
+      {"attack " + locked + " " + temp_path("cli_test_one_output.bench"),
+       "the oracle has 1 outputs but the locked netlist has " +
+           std::to_string(outputs)},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = run_cli(c.args + " --flight-dump none");
+    EXPECT_NE(run.status, 0) << c.args;
+    EXPECT_NE(run.stderr_text.find(c.message), std::string::npos)
+        << c.args << "\n" << run.stderr_text;
+    EXPECT_EQ(run.stderr_text.find("contract violation"), std::string::npos)
+        << c.args << "\n" << run.stderr_text;
+  }
+  for (const char* name : {"cli_test_plain.bench", "cli_test_locked.bench",
+                           "cli_test_six_inputs.bench",
+                           "cli_test_one_output.bench"}) {
+    std::remove((::testing::TempDir() + name).c_str());
+  }
+}
+
 }  // namespace

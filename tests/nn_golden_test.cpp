@@ -7,7 +7,9 @@
 // produced (tests/golden/nn_outputs.txt):
 //
 //  1. predict() for every model configuration nn_gradcheck_test covers
-//     (ICNet/GCN/ChebNet/SAGE × readouts × heads) on a generated circuit;
+//     (ICNet/GCN/ChebNet/SAGE × readouts × heads) on a generated circuit,
+//     and for widths the paper model does not use (a one-column input,
+//     layers that are not a multiple of 8 wide, a layer wider than 16);
 //  2. every epoch loss and the final predict_all() of train_gnn, at jobs=1
 //     and at jobs=4;
 //  3. InferenceEngine answers, at jobs=4, from a model trained and saved
@@ -137,6 +139,39 @@ GnnConfig config_for(const ModelCase& mc) {
   return cfg;
 }
 
+/// A model at widths the paper's (7 → 16 → 8) does not use, so the row
+/// kernels' remainder blocks and more than two full blocks are pinned too.
+struct WidthCase {
+  const char* label;
+  ConvMode mode;
+  data::StructureKind structure;
+  data::FeatureSet features;
+  std::size_t hidden[2];
+};
+
+const WidthCase kWidthCases[] = {
+    {"Location", ConvMode::Propagate, data::StructureKind::Adjacency,
+     data::FeatureSet::Location, {16, 8}},
+    {"Propagate_12_5", ConvMode::Propagate, data::StructureKind::Adjacency,
+     data::FeatureSet::All, {12, 5}},
+    {"Cheb_12_5", ConvMode::Chebyshev, data::StructureKind::ScaledLaplacian,
+     data::FeatureSet::All, {12, 5}},
+    {"Propagate_20_9", ConvMode::Propagate, data::StructureKind::Adjacency,
+     data::FeatureSet::All, {20, 9}},
+};
+
+GnnConfig config_for(const WidthCase& wc) {
+  GnnConfig cfg;
+  cfg.conv_mode = wc.mode;
+  cfg.cheb_order = 3;
+  cfg.in_features = data::feature_width(wc.features);
+  cfg.hidden = {wc.hidden[0], wc.hidden[1]};
+  cfg.readout = Readout::Attention;
+  cfg.exp_head = wc.mode == ConvMode::Propagate;
+  cfg.seed = 99;
+  return cfg;
+}
+
 /// Synthetic labels: a fixed function of the selection, so training has a
 /// signal to follow without running SAT attacks.
 std::vector<GraphSample> training_samples(
@@ -165,6 +200,16 @@ void add_predictions(Corpus& corpus, const circuit::Netlist& circuit) {
           data::gate_features(circuit, probes[i], data::FeatureSet::All);
       corpus.emplace_back(
           "predict." + std::string(mc.label) + "." + std::to_string(i),
+          hex(model.predict(*s, x)));
+    }
+  }
+  for (const WidthCase& wc : kWidthCases) {
+    const auto s = data::make_structure(circuit, wc.structure);
+    GnnRegressor model(config_for(wc));
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const auto x = data::gate_features(circuit, probes[i], wc.features);
+      corpus.emplace_back(
+          "predict." + std::string(wc.label) + "." + std::to_string(i),
           hex(model.predict(*s, x)));
     }
   }
@@ -306,23 +351,29 @@ TEST(NnDelta, PredictMatchesTheFullPassBitForBit) {
       {"random8b", {2, 19, 33, 47, 58, 71, 88, 95}},
       {"every", every},
   };
-  const graph::Matrix unselected =
-      data::gate_features(circuit, {}, data::FeatureSet::All);
   Workspace workspace;  // shared by every case, as an engine thread's is
-  for (const ModelCase& mc : kCases) {
-    const auto s = data::make_structure(circuit, mc.structure);
-    const GnnRegressor model(config_for(mc));
-    const BaseActivations base = model.base(*s, unselected);
+  const auto check = [&](const char* model_label, const GnnConfig& cfg,
+                         data::StructureKind structure,
+                         data::FeatureSet features) {
+    const auto s = data::make_structure(circuit, structure);
+    const GnnRegressor model(cfg);
+    const BaseActivations base =
+        model.base(*s, data::gate_features(circuit, {}, features));
     for (const auto& [label, selection] : cases) {
-      const auto x =
-          data::gate_features(circuit, selection, data::FeatureSet::All);
+      const auto x = data::gate_features(circuit, selection, features);
       const double full = model.predict(*s, x);
       const double delta = model.predict(*s, base, selection,
                                          changed_rows(x, selection), workspace);
       EXPECT_EQ(std::memcmp(&full, &delta, sizeof full), 0)
-          << mc.label << " " << label << ": " << hex(full) << " vs "
+          << model_label << " " << label << ": " << hex(full) << " vs "
           << hex(delta);
     }
+  };
+  for (const ModelCase& mc : kCases) {
+    check(mc.label, config_for(mc), mc.structure, data::FeatureSet::All);
+  }
+  for (const WidthCase& wc : kWidthCases) {
+    check(wc.label, config_for(wc), wc.structure, wc.features);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "ic/serve/serve.hpp"
 #include "ic/support/rng.hpp"
 
+#include <algorithm>
 #include <filesystem>
 
 namespace {
@@ -157,11 +158,11 @@ void BM_ICNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ICNetForward)->Arg(256)->Arg(1529)->Arg(4096);
 
-void BM_ICNetDeltaForward(benchmark::State& state) {
-  // BM_ICNetForward's model scoring 8-gate selections the way a served
-  // predict does: against base activations built once, recomputing only the
-  // rows each selection reaches in two hops.
-  const auto nl = bench_circuit(static_cast<std::size_t>(state.range(0)));
+/// BM_ICNetForward's model scoring `selections` of `nl` the way a served
+/// predict does: against base activations built once, recomputing only the
+/// rows each selection reaches in two hops. One item is one predict.
+void delta_forward(benchmark::State& state, const ic::circuit::Netlist& nl,
+                   const std::vector<std::vector<ic::circuit::GateId>>& selections) {
   const auto s = ic::data::make_structure(nl, ic::data::StructureKind::Adjacency);
   ic::nn::GnnConfig cfg;
   cfg.in_features = 7;
@@ -170,13 +171,8 @@ void BM_ICNetDeltaForward(benchmark::State& state) {
   const ic::nn::GnnRegressor model(cfg);
   const auto base =
       model.base(*s, ic::data::gate_features(nl, {}, ic::data::FeatureSet::All));
-  ic::Rng rng(5);
-  std::vector<std::vector<ic::circuit::GateId>> selections(64);
   std::vector<ic::graph::Matrix> rows;
-  for (auto& selection : selections) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      selection.push_back(static_cast<ic::circuit::GateId>(rng.index(nl.size())));
-    }
+  for (const auto& selection : selections) {
     ic::graph::Matrix values(selection.size(), cfg.in_features);
     for (std::size_t i = 0; i < selection.size(); ++i) {
       for (std::size_t j = 0; j < cfg.in_features; ++j) {
@@ -195,7 +191,43 @@ void BM_ICNetDeltaForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_ICNetDeltaForward(benchmark::State& state) {
+  // 8-gate selections, the size of a search's candidates.
+  const auto nl = bench_circuit(static_cast<std::size_t>(state.range(0)));
+  ic::Rng rng(5);
+  std::vector<std::vector<ic::circuit::GateId>> selections(64);
+  for (auto& selection : selections) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      selection.push_back(static_cast<ic::circuit::GateId>(rng.index(nl.size())));
+    }
+  }
+  delta_forward(state, nl, selections);
+}
 BENCHMARK(BM_ICNetDeltaForward)->Arg(1529)->Arg(4096);
+
+void BM_ICNetDeltaForwardPaperMix(benchmark::State& state) {
+  // perfbench's predict-paper mix: 1-350 distinct logic gates (no primary
+  // inputs) per selection, in ascending order, as its generator sends them.
+  const auto nl = bench_circuit(static_cast<std::size_t>(state.range(0)));
+  ic::Rng rng(5);
+  std::vector<std::vector<ic::circuit::GateId>> selections(64);
+  std::vector<bool> chosen(nl.size());
+  for (auto& selection : selections) {
+    const std::size_t size = 1 + rng.index(350);
+    std::fill(chosen.begin(), chosen.end(), false);
+    while (selection.size() < size) {
+      const std::size_t g =
+          nl.num_inputs() + rng.index(nl.size() - nl.num_inputs());
+      if (chosen[g]) continue;
+      chosen[g] = true;
+      selection.push_back(static_cast<ic::circuit::GateId>(g));
+    }
+    std::sort(selection.begin(), selection.end());
+  }
+  delta_forward(state, nl, selections);
+}
+BENCHMARK(BM_ICNetDeltaForwardPaperMix)->Arg(1529);
 
 void BM_PolicySearchStep(benchmark::State& state) {
   // One greedy policy-search step (DESIGN.md §14): generate an 8-candidate

@@ -8,6 +8,7 @@
 // key satisfying the accumulated constraints is functionally correct.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,16 @@
 #include "ic/sat/solver.hpp"
 
 namespace ic::attack {
+
+/// Bucket bounds of the estimator.calibration.signed_log10_error histogram:
+/// log10(modeled / predicted seconds), one decade per unit, negative when
+/// the estimator overpredicts.
+inline constexpr std::array<double, 13> kCalibrationLog10ErrorBounds = {
+    -3.0, -2.0, -1.0, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0};
+/// Bucket bounds of the estimator.calibration.abs_rel_error histogram:
+/// |modeled − predicted| / predicted.
+inline constexpr std::array<double, 10> kCalibrationRelErrorBounds = {
+    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0};
 
 struct AttackOptions {
   /// Stop after this many DIP iterations (0 = unlimited).

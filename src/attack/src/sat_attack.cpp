@@ -38,8 +38,11 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
   Solver solver(options.solver_config);
 
   telemetry::TraceSpan attack_span("sat_attack");
-  auto& metrics = telemetry::MetricsRegistry::global();
-  auto& dip_solve_hist = metrics.histogram("sat_attack.dip_solve_seconds");
+  // Metric handles are looked up once per process (the registry never frees
+  // one), each where the attack first records into it.
+  auto& registry = telemetry::MetricsRegistry::global();
+  static telemetry::Histogram& dip_solve_seconds =
+      registry.histogram("sat_attack.dip_solve_seconds");
 
   // Live progress slot: phase + DIP count + solver effort counters, read by
   // the heartbeat thread (progress.hpp). Publishing is a few relaxed atomic
@@ -105,7 +108,9 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
   solver.add_clause(any_diff);
 
   miter_span.end();
-  metrics.histogram("sat_attack.miter_build_seconds").observe(miter_timer.seconds());
+  static telemetry::Histogram& miter_build_seconds =
+      registry.histogram("sat_attack.miter_build_seconds");
+  miter_build_seconds.observe(miter_timer.seconds());
   ICLOG(debug) << "miter built" << telemetry::kv("gates", locked.size())
                << telemetry::kv("keys", locked.num_keys())
                << telemetry::kv("seconds", miter_timer.seconds());
@@ -131,14 +136,31 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     result.oracle_queries = oracle.query_count();
     result.wall_seconds = timer.seconds();
 
-    metrics.counter("sat_attack.attacks").add(1);
-    metrics.counter("sat_attack.iterations").add(result.iterations);
-    metrics.counter("sat_attack.conflicts").add(result.conflicts);
-    metrics.counter("sat_attack.propagations").add(result.propagations);
-    metrics.counter("sat_attack.decisions").add(result.decisions);
-    metrics.counter("sat_attack.oracle_queries").add(result.oracle_queries);
-    if (result.hit_cap) metrics.counter("sat_attack.caps_hit").add(1);
-    metrics.gauge("sat_attack.last_wall_seconds").set(result.wall_seconds);
+    static telemetry::Counter& attacks = registry.counter("sat_attack.attacks");
+    static telemetry::Counter& iterations =
+        registry.counter("sat_attack.iterations");
+    static telemetry::Counter& conflicts =
+        registry.counter("sat_attack.conflicts");
+    static telemetry::Counter& propagations =
+        registry.counter("sat_attack.propagations");
+    static telemetry::Counter& decisions =
+        registry.counter("sat_attack.decisions");
+    static telemetry::Counter& oracle_queries =
+        registry.counter("sat_attack.oracle_queries");
+    attacks.add(1);
+    iterations.add(result.iterations);
+    conflicts.add(result.conflicts);
+    propagations.add(result.propagations);
+    decisions.add(result.decisions);
+    oracle_queries.add(result.oracle_queries);
+    if (result.hit_cap) {
+      static telemetry::Counter& caps_hit =
+          registry.counter("sat_attack.caps_hit");
+      caps_hit.add(1);
+    }
+    static telemetry::Gauge& last_wall_seconds =
+        registry.gauge("sat_attack.last_wall_seconds");
+    last_wall_seconds.set(result.wall_seconds);
 
     // Calibration telemetry: the estimator's prediction against the modeled
     // seconds the labels are made of (estimated_seconds(); datasets label
@@ -147,24 +169,28 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     // histograms (their effort is the cap, not the workload) but counted, so
     // the capped fraction is visible next to the error distribution.
     if (options.predicted_seconds > 0.0) {
-      metrics.counter("estimator.calibration.samples").add(1);
+      static telemetry::Counter& samples =
+          registry.counter("estimator.calibration.samples");
+      samples.add(1);
       if (result.hit_cap) {
-        metrics.counter("estimator.calibration.capped").add(1);
+        static telemetry::Counter& capped =
+            registry.counter("estimator.calibration.capped");
+        capped.add(1);
       } else {
+        static telemetry::Histogram& log10_error = registry.histogram(
+            "estimator.calibration.signed_log10_error",
+            {kCalibrationLog10ErrorBounds.begin(),
+             kCalibrationLog10ErrorBounds.end()});
+        static telemetry::Histogram& rel_error = registry.histogram(
+            "estimator.calibration.abs_rel_error",
+            {kCalibrationRelErrorBounds.begin(),
+             kCalibrationRelErrorBounds.end()});
         const double actual = std::max(result.estimated_seconds(), 1e-9);
         // Signed log-ratio: negative = overprediction, positive = the attack
         // outlived its estimate; one decade per unit.
-        metrics
-            .histogram("estimator.calibration.signed_log10_error",
-                       {-3.0, -2.0, -1.0, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25,
-                        0.5, 1.0, 2.0, 3.0})
-            .observe(std::log10(actual / options.predicted_seconds));
-        metrics
-            .histogram("estimator.calibration.abs_rel_error",
-                       {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-                        10.0})
-            .observe(std::fabs(actual - options.predicted_seconds) /
-                     options.predicted_seconds);
+        log10_error.observe(std::log10(actual / options.predicted_seconds));
+        rel_error.observe(std::fabs(actual - options.predicted_seconds) /
+                          options.predicted_seconds);
       }
     }
     ICLOG(info) << "sat_attack finished"
@@ -201,7 +227,7 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     const std::uint64_t conflicts_before = solver.stats().conflicts;
     Timer solve_timer;
     const Result r = solver.solve({sat::pos(act)});
-    dip_solve_hist.observe(solve_timer.seconds());
+    dip_solve_seconds.observe(solve_timer.seconds());
     ICLOG(debug) << "dip solve" << telemetry::kv("iter", result.iterations)
                  << telemetry::kv("seconds", solve_timer.seconds())
                  << telemetry::kv("conflicts",

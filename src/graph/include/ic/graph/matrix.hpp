@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "ic/support/assert.hpp"
@@ -104,6 +105,29 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Columns a row kernel sums at once. Eight doubles fill four SSE2
+/// registers (two AVX ones), which leaves room for the operands.
+inline constexpr std::size_t kColumnBlock = 8;
+
+/// Runs `block.template operator()<B>(j0)` over columns [j0, j0 + B) for
+/// every block of `Size` columns in [0, width), then once for the narrower
+/// rest if there is one. B is a compile-time constant, so a kernel that
+/// keeps a block's sums in a local `double[B]` keeps them in registers for
+/// a whole row, at any width.
+template <std::size_t Size = kColumnBlock, typename Block>
+void for_each_column_block(std::size_t width, Block&& block) {
+  std::size_t j0 = 0;
+  for (; j0 + Size <= width; j0 += Size) {
+    block.template operator()<Size>(j0);
+  }
+  const std::size_t rest = width - j0;
+  if (rest == 0) return;
+  [&]<std::size_t... B>(std::index_sequence<B...>) {
+    (void)((rest == B + 1 && (block.template operator()<B + 1>(j0), true)) ||
+           ...);
+  }(std::make_index_sequence<Size - 1>{});
+}
 
 /// Solve A x = b by Gaussian elimination with partial pivoting. A is n×n,
 /// b is n×m; returns x (n×m). Near-singular systems are solved anyway with

@@ -32,18 +32,29 @@ class SparseMatrix {
   /// Dense product: this(rows×cols) * x(cols×f).
   Matrix spmm(const Matrix& x) const;
 
-  /// Row r of this·X into out[0, width): zeroed, then accumulated in CSR
-  /// order, reading row c of X at row_of(c). spmm() runs this for every
-  /// row, so a caller that computes only some rows gets the same bits.
+  /// Row r of this·X into out[0, width), reading row c of X at row_of(c).
+  /// Each entry starts from zero and adds the row's products in CSR order.
+  /// The columns go in blocks (for_each_column_block) whose sums stay in
+  /// registers while the row's entries stream past. Each pass over the
+  /// entries looks up every row_of(c) again, so the blocks here are twice
+  /// kColumnBlock wide: eight registers of sums, half the passes. spmm()
+  /// runs this for every row, so a caller that computes only some rows gets
+  /// the same bits.
   template <typename RowOf>
   void spmm_row(std::size_t r, const RowOf& row_of, std::size_t width,
                 double* out) const {
-    for (std::size_t j = 0; j < width; ++j) out[j] = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const double v = values_[k];
-      const double* xrow = row_of(col_idx_[k]);
-      for (std::size_t j = 0; j < width; ++j) out[j] += v * xrow[j];
-    }
+    const std::size_t begin = row_ptr_[r];
+    const std::size_t end = row_ptr_[r + 1];
+    for_each_column_block<2 * kColumnBlock>(
+        width, [&]<std::size_t B>(std::size_t j0) {
+          double acc[B] = {};
+          for (std::size_t k = begin; k < end; ++k) {
+            const double v = values_[k];
+            const double* x = row_of(col_idx_[k]) + j0;
+            for (std::size_t j = 0; j < B; ++j) acc[j] += v * x[j];
+          }
+          for (std::size_t j = 0; j < B; ++j) out[j0 + j] = acc[j];
+        });
   }
 
   /// Columns of the entries stored in row r, ascending.

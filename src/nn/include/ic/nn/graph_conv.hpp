@@ -30,10 +30,10 @@ enum class ConvMode { Propagate, Chebyshev };
 inline constexpr std::uint32_t kUnreached =
     std::numeric_limits<std::uint32_t>::max();
 
-/// The rows one pass computes and where it keeps them. A full pass computes
-/// every row and keeps row r in slot r. A delta pass computes only the rows
-/// a change to the input can reach: slot i holds the i-th row reached, and
-/// the rows at most h products by S away from a changed row fill slots
+/// The rows one pass computes. A pass keeps each row it computes at its row
+/// index. A full pass computes every row. A delta pass computes only the
+/// rows a change to the input can reach: slot i names the i-th row reached,
+/// and the rows at most h products by S away from a changed row hold slots
 /// [0, within[h]).
 struct Reach {
   std::size_t n = 0;                     ///< rows of the graph
@@ -50,26 +50,26 @@ struct Reach {
 };
 
 /// One n×width matrix of a pass as its rows are read: the rows the pass
-/// computed from `own` (by slot), every other row from `base` (by row).
+/// computed from `own`, every other row from `base`. Both hold row r at
+/// r·width.
 class RowView {
  public:
   RowView(const Reach& reach, std::size_t hops, const double* own,
           const double* base, std::size_t width)
-      : own_(own),
-        base_(base),
+      : from_{base, own},
         slot_(reach.full() ? nullptr : reach.slot),
         owned_(reach.rows(hops)),
         width_(width) {}
 
   const double* operator()(std::size_t r) const {
-    if (slot_ == nullptr) return own_ + r * width_;
-    const std::size_t s = slot_[r];
-    return s < owned_ ? own_ + s * width_ : base_ + r * width_;
+    if (slot_ == nullptr) return from_[1] + r * width_;
+    // Own or base, picked by index rather than a branch: which one a row
+    // is depends on the selection, so a branch would mispredict.
+    return from_[slot_[r] < owned_] + r * width_;
   }
 
  private:
-  const double* own_;
-  const double* base_;
+  const double* from_[2];  ///< {base, own}
   const std::uint32_t* slot_;
   std::size_t owned_;
   std::size_t width_;
@@ -90,15 +90,18 @@ class GraphConv {
 
   /// The row kernels over the rows `reach` selects, for an input that
   /// differs from the base pass's only within `hops` hops of the change.
-  /// Resizes and fills terms[k] with Z_k and `out` with the post-ReLU
-  /// output, by slot. A delta pass reads the rows it does not compute from
-  /// `base_terms`, the base pass's basis. A full pass gives none, and so may
-  /// a Propagate delta pass, which reads S·H only at rows it computes.
+  /// Resizes terms[k] and `out` to n rows and fills the rows the pass
+  /// computes with Z_k and the post-ReLU output. A delta pass reads the
+  /// rows it does not compute from `base_terms`, the base pass's basis. A
+  /// full pass gives none, and so may a Propagate delta pass, which reads
+  /// S·H only at rows it computes.
+  /// `columns` is scratch for one row's nonzero columns; reusing it across
+  /// calls keeps the pass from allocating.
   void forward_rows(const graph::SparseMatrix& structure, const Reach& reach,
                     std::size_t hops, const RowView& input,
                     std::span<const graph::Matrix> base_terms,
-                    std::vector<graph::Matrix>& terms,
-                    graph::Matrix& out) const;
+                    std::vector<graph::Matrix>& terms, graph::Matrix& out,
+                    std::vector<std::uint32_t>& columns) const;
 
   /// Products by S between the layer's input and its output: how many hops
   /// further a change to the input reaches.

@@ -74,12 +74,14 @@ struct BaseActivations {
 class Workspace {
  private:
   friend class GnnRegressor;
-  std::vector<std::uint32_t> slot;   ///< per row; kUnreached off the reach
-  std::vector<std::uint32_t> order;  ///< reached rows, by slot
-  std::vector<std::size_t> within;   ///< Reach::within
-  graph::Matrix x;                   ///< changed feature rows, by slot
-  std::vector<Tape::Layer> layers;   ///< recomputed rows, by slot
-  Tape readout;                      ///< readout record (no layers)
+  std::vector<std::uint32_t> slot;     ///< per row; kUnreached off the reach
+  std::vector<std::uint8_t> marked;    ///< per row: reads a row of the reach
+  std::vector<std::uint32_t> order;    ///< reached rows, by slot
+  std::vector<std::size_t> within;     ///< Reach::within
+  graph::Matrix x;                     ///< changed feature rows, by row
+  std::vector<Tape::Layer> layers;     ///< recomputed rows, by row
+  std::vector<std::uint32_t> columns;  ///< GraphConv::forward_rows scratch
+  Tape readout;                        ///< readout record (no layers)
 };
 
 /// Holds only its config and parameters; forward, predict and backward are

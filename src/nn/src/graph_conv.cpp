@@ -1,6 +1,8 @@
 #include "ic/nn/graph_conv.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "ic/support/timeline.hpp"
 
@@ -35,15 +37,17 @@ Matrix GraphConv::forward(const SparseMatrix& s, const Matrix& input,
   IC_ASSERT(input.cols() == in_features_);
   const Reach all{input.rows()};
   Matrix out;
+  std::vector<std::uint32_t> columns;
   forward_rows(s, all, 0, RowView(all, 0, input.data(), nullptr, input.cols()),
-               {}, basis, out);
+               {}, basis, out, columns);
   return out;
 }
 
 void GraphConv::forward_rows(const SparseMatrix& s, const Reach& reach,
                              std::size_t hops, const RowView& input,
                              std::span<const Matrix> base_terms,
-                             std::vector<Matrix>& terms, Matrix& out) const {
+                             std::vector<Matrix>& terms, Matrix& out,
+                             std::vector<std::uint32_t>& columns) const {
   IC_ASSERT(s.rows() == reach.n && s.cols() == reach.n);
   IC_ASSERT(base_terms.empty() || base_terms.size() == order_);
   const std::size_t in = in_features_;
@@ -57,13 +61,13 @@ void GraphConv::forward_rows(const SparseMatrix& s, const Reach& reach,
   // Z_k = 2·S·Z_{k−1} − Z_{k−2} (Chebyshev), one row at a time.
   for (std::size_t k = 0; k < order_; ++k) {
     const std::size_t count = reach.rows(hops + term_hops(k));
-    terms[k].resize(count, in);
+    terms[k].resize(reach.n, in);
     const bool copy = mode_ == ConvMode::Chebyshev && k == 0;
     const RowView source = k < 2 ? input : term(k - 1);
     const RowView back = term(k < 2 ? 0 : k - 2);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t r = reach.row(i);
-      double* z = terms[k].data() + i * in;
+      double* z = terms[k].data() + r * in;
       if (copy) {
         const double* h = input(r);
         for (std::size_t j = 0; j < in; ++j) z[j] = h[j];
@@ -83,31 +87,54 @@ void GraphConv::forward_rows(const SparseMatrix& s, const Reach& reach,
 
   // Dense half: ReLU(Σ_k Z_k·W_k + b), one row at a time. Each term's
   // product is summed on its own from zero, skipping zero entries of Z_k,
-  // then added to the running total: the order Matrix::matmul and += use.
+  // then added to the running total kept in the output row: the order
+  // Matrix::matmul and += use. A row's nonzero columns are listed first,
+  // without a branch per column (a NaN is listed: it is not zero), and each
+  // block of output columns (for_each_column_block) runs over the list with
+  // its sums in registers. The bias and the ReLU get a pass of their own,
+  // which the compiler vectorizes; inside a block it branched on each ReLU.
   const std::size_t width = out_features_;
   const std::size_t count = reach.rows(hops + this->hops());
-  out.resize(count, width);
-  std::vector<double> partial(order_ > 1 ? width : 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t r = reach.row(i);
-    double* o = out.data() + i * width;
-    for (std::size_t k = 0; k < order_; ++k) {
-      double* acc = k == 0 ? o : partial.data();
-      for (std::size_t j = 0; j < width; ++j) acc[j] = 0.0;
-      const double* z = term(k)(r);
-      const double* w = weights_[k].data();
+  out.resize(reach.n, width);
+  columns.resize(in);
+  const double* bias = bias_.data();
+  for (std::size_t k = 0; k < order_; ++k) {
+    const RowView z_of = term(k);
+    const double* w = weights_[k].data();
+    const bool first = k == 0;
+    const bool last = k + 1 == order_;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t r = reach.row(i);
+      const double* z = z_of(r);
+      std::uint32_t* nonzero = columns.data();
+      std::size_t m = 0;
+      // A few instructions per column, so the loop's own count and branch
+      // would be a third of them.
+#pragma GCC unroll 4
       for (std::size_t c = 0; c < in; ++c) {
-        const double zc = z[c];
-        if (zc == 0.0) continue;
-        const double* wrow = w + c * width;
-        for (std::size_t j = 0; j < width; ++j) acc[j] += zc * wrow[j];
+        // z[c] != 0.0 as a bit test: only ±0.0 have no bit but the sign.
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, z + c, sizeof bits);
+        nonzero[m] = static_cast<std::uint32_t>(c);
+        m += (bits << 1) != 0;
       }
-      if (k > 0) {
-        for (std::size_t j = 0; j < width; ++j) o[j] += acc[j];
+      double* o = out.data() + r * width;
+      graph::for_each_column_block(width, [&]<std::size_t B>(std::size_t j0) {
+        double acc[B] = {};
+        for (std::size_t t = 0; t < m; ++t) {
+          const double zc = z[nonzero[t]];
+          const double* wrow = w + nonzero[t] * width + j0;
+          for (std::size_t j = 0; j < B; ++j) acc[j] += zc * wrow[j];
+        }
+        if (!first) {
+          for (std::size_t j = 0; j < B; ++j) acc[j] = o[j0 + j] + acc[j];
+        }
+        for (std::size_t j = 0; j < B; ++j) o[j0 + j] = acc[j];
+      });
+      if (last) {
+        for (std::size_t j = 0; j < width; ++j) o[j] = relu(o[j] + bias[j]);
       }
     }
-    const double* b = bias_.data();
-    for (std::size_t j = 0; j < width; ++j) o[j] = relu(o[j] + b[j]);
   }
   telemetry::mark_stage(telemetry::Stage::Dense);
 }

@@ -119,37 +119,55 @@ double GnnRegressor::predict(const SparseMatrix& s, const BaseActivations& base,
   IC_ASSERT(values.rows() == rows.size() && values.cols() == f);
   IC_ASSERT(base.layers.size() == convs_.size());
 
-  // Reach: the changed rows, then breadth-first the rows that read them,
-  // one hop per product by S. Rows are found through Sᵀ (base.readers), so
-  // S need not be symmetric. Slots of the previous call, which may have
-  // thrown or been on another circuit, are cleared first.
-  for (const std::uint32_t r : ws.order) ws.slot[r] = kUnreached;
-  ws.order.clear();
-  if (ws.slot.size() < n) ws.slot.resize(n, kUnreached);
-  ws.x.resize(rows.size(), f);
+  // Reach: the changed rows, then ring by ring the rows that read a row of
+  // the ring before, one ring per product by S. Rows are found through Sᵀ
+  // (base.readers), so S need not be symmetric. A ring's readers are
+  // marked, and the marked rows not yet reached are collected by one scan
+  // in row order, so no ring after the first branches on a row: the order
+  // of slots within a ring moves no value (DESIGN.md §8). Every slot and
+  // mark is cleared first, as the previous call may have thrown or been on
+  // another circuit.
+  IC_ASSERT(n < kUnreached);
+  if (ws.slot.size() < n) {
+    ws.slot.resize(n);
+    ws.marked.resize(n);
+  }
+  std::fill_n(ws.slot.begin(), n, kUnreached);
+  std::fill_n(ws.marked.begin(), n, std::uint8_t{0});
+  ws.order.resize(n + 1);  // a scan writes one entry past the rows it keeps
+  std::uint32_t* slot = ws.slot.data();
+  std::uint8_t* marked = ws.marked.data();
+  std::uint32_t* order = ws.order.data();
+  std::uint32_t reached = 0;
+  ws.x.resize(n, f);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::uint32_t r = rows[i];
     IC_ASSERT(r < n);
-    if (ws.slot[r] == kUnreached) {
-      ws.slot[r] = static_cast<std::uint32_t>(ws.order.size());
-      ws.order.push_back(r);
+    if (slot[r] == kUnreached) {
+      slot[r] = reached;
+      order[reached++] = r;
     }
     const double* v = values.data() + i * f;
-    std::copy(v, v + f, ws.x.data() + ws.slot[r] * f);
+    std::copy(v, v + f, ws.x.data() + r * f);
   }
   std::size_t hops = 0;
   for (const GraphConv& conv : convs_) hops += conv.hops();
-  ws.within.assign(1, ws.order.size());
+  ws.within.assign(1, reached);
   for (std::size_t h = 1; h <= hops; ++h) {
     const std::size_t begin = h >= 2 ? ws.within[h - 2] : 0;
-    for (std::size_t i = begin; i < ws.within[h - 1]; ++i) {
-      for (const std::size_t r : base.readers.row_cols(ws.order[i])) {
-        if (ws.slot[r] != kUnreached) continue;
-        ws.slot[r] = static_cast<std::uint32_t>(ws.order.size());
-        ws.order.push_back(static_cast<std::uint32_t>(r));
+    const std::size_t end = ws.within[h - 1];
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const std::size_t r : base.readers.row_cols(order[i])) {
+        marked[r] = 1;
       }
     }
-    ws.within.push_back(ws.order.size());
+    const std::uint32_t ring = reached;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      order[reached] = r;
+      reached += marked[r] & (slot[r] == kUnreached);
+    }
+    for (std::uint32_t i = ring; i < reached; ++i) slot[order[i]] = i;
+    ws.within.push_back(reached);
   }
   const Reach reach{n, ws.order.data(), ws.slot.data(), ws.within.data()};
 
@@ -162,7 +180,7 @@ double GnnRegressor::predict(const SparseMatrix& s, const BaseActivations& base,
     const Tape::Layer& from = base.layers[i];
     Tape::Layer& layer = ws.layers[i];
     convs_[i].forward_rows(s, reach, hops, input, from.basis, layer.basis,
-                           layer.out);
+                           layer.out, ws.columns);
     hops += convs_[i].hops();
     input = RowView(reach, hops, layer.out.data(), from.out.data(),
                     convs_[i].out_features());
@@ -173,13 +191,18 @@ double GnnRegressor::predict(const SparseMatrix& s, const BaseActivations& base,
 double GnnRegressor::readout(const RowView& h, std::size_t n,
                              Tape& tape) const {
   const std::size_t d = config_.hidden.back();
-  // Column sums in row order, as Matrix::col_sums adds them.
+  // Column sums in row order, as Matrix::col_sums adds them, a block of
+  // columns at a time with its sums in registers.
   const auto col_sums = [&](std::vector<double>& out) {
-    out.assign(d, 0.0);
-    for (std::size_t g = 0; g < n; ++g) {
-      const double* row = h(g);
-      for (std::size_t j = 0; j < d; ++j) out[j] += row[j];
-    }
+    out.resize(d);
+    graph::for_each_column_block(d, [&]<std::size_t B>(std::size_t j0) {
+      double acc[B] = {};
+      for (std::size_t g = 0; g < n; ++g) {
+        const double* row = h(g) + j0;
+        for (std::size_t j = 0; j < B; ++j) acc[j] += row[j];
+      }
+      for (std::size_t j = 0; j < B; ++j) out[j0 + j] = acc[j];
+    });
   };
   const auto col_means = [&](std::vector<double>& out) {
     col_sums(out);
@@ -197,26 +220,48 @@ double GnnRegressor::readout(const RowView& h, std::size_t n,
     case Readout::Attention: {
       // Feature attention: a = softmax_j(θ_j · mean_g H[g,j]).
       col_means(tape.feat_means);
-      tape.feat_attention.assign(d, 0.0);
+      tape.feat_attention.resize(d);
       for (std::size_t j = 0; j < d; ++j) {
         tape.feat_attention[j] = theta_feat_(0, j) * tape.feat_means[j];
       }
       softmax_inplace(tape.feat_attention);
-      // Per-gate scalar p_g = Σ_j a_j H[g,j].
-      tape.gate_repr.assign(n, 0.0);
-      for (std::size_t g = 0; g < n; ++g) {
-        const double* row = h(g);
-        double acc = 0.0;
-        for (std::size_t j = 0; j < d; ++j) acc += tape.feat_attention[j] * row[j];
-        tape.gate_repr[g] = acc;
+      // Per-gate scalar p_g = Σ_j a_j H[g,j], each summed from zero in
+      // column order, for kRows gates at once; then gate attention
+      // b = softmax_g(φ · p_g) and r = Σ_g b_g p_g. The softmax is
+      // softmax_inplace's three passes, with the max taken in row order
+      // as the sums are made.
+      constexpr std::size_t kRows = 4;
+      const double* a = tape.feat_attention.data();
+      const double phi = phi_gate_(0, 0);
+      tape.gate_repr.resize(n);
+      tape.gate_attention.resize(n);
+      double* p = tape.gate_repr.data();
+      double* b = tape.gate_attention.data();
+      double mx = 0.0;  // s_0, then the running max
+      const auto gate_sums = [&]<std::size_t R>(std::size_t g) {
+        const double* row[R];
+        for (std::size_t q = 0; q < R; ++q) row[q] = h(g + q);
+        double acc[R] = {};
+        for (std::size_t j = 0; j < d; ++j) {
+          for (std::size_t q = 0; q < R; ++q) acc[q] += a[j] * row[q][j];
+        }
+        for (std::size_t q = 0; q < R; ++q) {
+          p[g + q] = acc[q];
+          mx = g + q == 0 ? acc[q] * phi : std::max(mx, acc[q] * phi);
+        }
+      };
+      std::size_t g = 0;
+      for (; g + kRows <= n; g += kRows) gate_sums.template operator()<kRows>(g);
+      for (; g < n; ++g) gate_sums.template operator()<1>(g);
+      double sum = 0.0;
+      for (g = 0; g < n; ++g) {
+        b[g] = std::exp(p[g] * phi - mx);
+        sum += b[g];
       }
-      // Gate attention: b = softmax_g(φ · p_g); r = Σ_g b_g p_g.
-      tape.gate_attention = tape.gate_repr;
-      for (double& sgi : tape.gate_attention) sgi *= phi_gate_(0, 0);
-      softmax_inplace(tape.gate_attention);
       double r = 0.0;
-      for (std::size_t g = 0; g < n; ++g) {
-        r += tape.gate_attention[g] * tape.gate_repr[g];
+      for (g = 0; g < n; ++g) {
+        b[g] /= sum;
+        r += b[g] * p[g];
       }
       tape.readout.assign(1, r);
       break;

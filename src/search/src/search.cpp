@@ -128,9 +128,12 @@ std::size_t argmax(const std::vector<double>& values) {
 SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
                            const SearchOptions& options) {
   telemetry::TraceSpan span("search/policy_search");
+  // Metric handles are looked up once per process (the registry never frees
+  // one), each where the search first records into it.
   auto& metrics = telemetry::MetricsRegistry::global();
-  auto& step_seconds = metrics.histogram("search.step_seconds");
-  auto& best_gauge = metrics.gauge("search.best_objective");
+  static telemetry::Histogram& step_seconds =
+      metrics.histogram("search.step_seconds");
+  static telemetry::Gauge& best_gauge = metrics.gauge("search.best_objective");
 
   IC_CHECK(options.neighbors >= 1, "search needs neighbors >= 1");
   IC_CHECK(options.greedy_steps + options.sa_steps >= 1,
@@ -225,7 +228,9 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
       for (const GateId id : current) member[id] = true;
       current_objective = objectives[pick];
       ++report.accepted_steps;
-      metrics.counter("search.accepted").add(1);
+      static telemetry::Counter& accepted_counter =
+          metrics.counter("search.accepted");
+      accepted_counter.add(1);
     }
     if (current_objective > report.best_objective) {
       report.best_objective = current_objective;
@@ -242,7 +247,8 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
     record.oracle_calls = report.oracle_calls;
     report.steps.push_back(std::move(record));
 
-    metrics.counter("search.steps").add(1);
+    static telemetry::Counter& steps_counter = metrics.counter("search.steps");
+    steps_counter.add(1);
     best_gauge.set(report.best_objective);
     step_seconds.observe(timer.seconds());
     progress.tick(step + 1);
@@ -308,7 +314,9 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
       verified.attack_dips = result.iterations;
       verified.attack_success = result.success;
       verified.attack_hit_cap = result.hit_cap;
-      metrics.counter("search.verifications").add(1);
+      static telemetry::Counter& verifications =
+          metrics.counter("search.verifications");
+      verifications.add(1);
       ICLOG(info) << "search: verified candidate " << i + 1 << "/" << k
                   << telemetry::kv("predicted_s", verified.predicted_seconds)
                   << telemetry::kv("actual_s", verified.actual_seconds)

@@ -117,7 +117,9 @@ class MetricsRegistry {
   /// asking for an existing name as a different kind throws.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `bounds` is used only on first creation (empty = exponential default).
+  /// Empty `bounds` takes the existing histogram's, or the exponential
+  /// default on creation. Non-empty `bounds` that differ from an existing
+  /// histogram's throw, so no caller gets buckets it did not ask for.
   Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.

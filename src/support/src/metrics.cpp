@@ -177,12 +177,18 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   IC_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0,
            "metric '" << name << "' already registered as a different kind");
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    if (bounds.empty()) bounds = Histogram::exponential_bounds();
-    slot = std::make_unique<Histogram>(std::move(bounds));
+  const auto it = histograms_.find(name);
+  if (it != histograms_.end()) {
+    IC_CHECK(bounds.empty() || bounds == it->second->bounds(),
+             "metric '" << name
+                        << "' already registered with other histogram bounds");
+    return *it->second;
   }
-  return *slot;
+  if (bounds.empty()) bounds = Histogram::exponential_bounds();
+  // Built before it is inserted: bounds the constructor rejects must not
+  // leave an empty slot for the dumps to dereference.
+  auto hist = std::make_unique<Histogram>(std::move(bounds));
+  return *histograms_.emplace(name, std::move(hist)).first->second;
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {

@@ -162,29 +162,23 @@ TEST(SatAttack, RequiresKeyInputs) {
   EXPECT_THROW(sat_attack(original, oracle), std::runtime_error);
 }
 
-/// A calibration histogram. The first call runs one predicted attack, so
-/// that sat_attack registers the histograms with its own bucket bounds: a
-/// lookup from a test first would fix the registry's default bounds instead.
-telemetry::Histogram& calibration_histogram(const std::string& name) {
-  static const bool registered = [] {
-    const Netlist original = circuit::c17();
-    const auto sel =
-        locking::select_gates(original, 2, locking::SelectionPolicy::Random, 3);
-    NetlistOracle oracle(original);
-    AttackOptions opt;
-    opt.predicted_seconds = 1.0;
-    return sat_attack(locking::lut_lock(original, sel).locked, oracle, opt)
-        .success;
-  }();
-  EXPECT_TRUE(registered);
-  return telemetry::MetricsRegistry::global().histogram(name);
+/// The calibration histograms, asked for with the bounds sat_attack gives
+/// them, so they get the same buckets whichever side asks first.
+telemetry::Histogram& log10_error_histogram() {
+  return telemetry::MetricsRegistry::global().histogram(
+      "estimator.calibration.signed_log10_error",
+      {kCalibrationLog10ErrorBounds.begin(), kCalibrationLog10ErrorBounds.end()});
+}
+telemetry::Histogram& rel_error_histogram() {
+  return telemetry::MetricsRegistry::global().histogram(
+      "estimator.calibration.abs_rel_error",
+      {kCalibrationRelErrorBounds.begin(), kCalibrationRelErrorBounds.end()});
 }
 
 TEST(SatAttack, PredictedRuntimeFeedsCalibrationTelemetry) {
   auto& metrics = telemetry::MetricsRegistry::global();
-  auto& signed_hist =
-      calibration_histogram("estimator.calibration.signed_log10_error");
-  auto& rel_hist = calibration_histogram("estimator.calibration.abs_rel_error");
+  auto& signed_hist = log10_error_histogram();
+  auto& rel_hist = rel_error_histogram();
   const std::uint64_t samples_before =
       metrics.counter("estimator.calibration.samples").value();
   const std::uint64_t signed_before = signed_hist.count();
@@ -217,9 +211,8 @@ TEST(SatAttack, CalibrationComparesThePredictionWithTheModeledSeconds) {
   NetlistOracle oracle(original);
   const double modeled = sat_attack(locked.locked, oracle).estimated_seconds();
 
-  auto& signed_hist =
-      calibration_histogram("estimator.calibration.signed_log10_error");
-  auto& rel_hist = calibration_histogram("estimator.calibration.abs_rel_error");
+  auto& signed_hist = log10_error_histogram();
+  auto& rel_hist = rel_error_histogram();
   const auto buckets_before = signed_hist.bucket_counts();
   const double signed_sum_before = signed_hist.sum();
   const double rel_sum_before = rel_hist.sum();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "ic/graph/sparse.hpp"
 
@@ -80,6 +81,42 @@ TEST(Sparse, SpmmRowIsARowOfSpmm) {
   for (std::size_t r = 0; r < 3; ++r) {
     s.spmm_row(r, [&](std::size_t c) { return x.data() + c * 4; }, 4, row);
     for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(row[j], all(r, j));
+  }
+}
+
+TEST(Sparse, SpmmMatchesTheDenseProductBitForBitAtEveryWidth) {
+  // spmm_row keeps each block of 16 columns in registers and the narrower
+  // rest in a block of its own; every width from 1 to 34 crosses a
+  // different mix of full and remainder blocks. Both products add each
+  // entry's terms in column order, so they agree to the bit. Row 3 is empty.
+  Rng rng(11);
+  std::vector<std::size_t> tr, tc;
+  std::vector<double> tv;
+  for (std::size_t r = 0; r < 9; ++r) {
+    if (r == 3) continue;
+    for (std::size_t c = 0; c < 9; ++c) {
+      if (rng.uniform(0.0, 1.0) < 0.4) {
+        tr.push_back(r);
+        tc.push_back(c);
+        tv.push_back(rng.uniform(-2.0, 2.0));
+      }
+    }
+  }
+  const SparseMatrix s = SparseMatrix::from_triplets(9, 9, tr, tc, tv);
+  for (std::size_t width = 1; width <= 34; ++width) {
+    const Matrix x = Matrix::random_normal(9, width, 1.0, rng);
+    const Matrix dense = s.to_dense().matmul(x);
+    const Matrix sparse = s.spmm(x);
+    for (std::size_t r = 0; r < 9; ++r) {
+      std::vector<double> row(width + 1, -7.0);  // one sentinel past the end
+      s.spmm_row(r, [&](std::size_t c) { return x.data() + c * width; }, width,
+                 row.data());
+      EXPECT_EQ(row[width], -7.0) << "width " << width << " row " << r;
+      for (std::size_t j = 0; j < width; ++j) {
+        EXPECT_EQ(sparse(r, j), dense(r, j)) << "width " << width;
+        EXPECT_EQ(row[j], dense(r, j)) << "width " << width;
+      }
+    }
   }
 }
 

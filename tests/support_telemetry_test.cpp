@@ -135,6 +135,39 @@ TEST(Metrics, KindCollisionThrows) {
                std::runtime_error);
 }
 
+TEST(Metrics, HistogramBoundsConflictThrowsNamingTheMetric) {
+  auto& registry = MetricsRegistry::global();
+  auto& hist = registry.histogram("test.bounds_conflict", {1.0, 2.0});
+  EXPECT_EQ(&registry.histogram("test.bounds_conflict", {1.0, 2.0}), &hist);
+  EXPECT_EQ(&registry.histogram("test.bounds_conflict"), &hist);
+  try {
+    registry.histogram("test.bounds_conflict", {1.0, 3.0});
+    ADD_FAILURE() << "conflicting bounds were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'test.bounds_conflict'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(hist.bounds(), (std::vector<double>{1.0, 2.0}));
+
+  // A histogram made with the default bounds conflicts with any others.
+  auto& plain = registry.histogram("test.bounds_default");
+  EXPECT_EQ(&registry.histogram("test.bounds_default",
+                                Histogram::exponential_bounds()),
+            &plain);
+  EXPECT_THROW(registry.histogram("test.bounds_default", {0.5}),
+               std::runtime_error);
+}
+
+TEST(Metrics, RejectedHistogramBoundsLeaveTheRegistryDumpable) {
+  auto& registry = MetricsRegistry::global();
+  EXPECT_THROW(registry.histogram("test.bounds_unsorted", {2.0, 1.0}),
+               std::logic_error);
+  EXPECT_NE(registry.to_json().find("\"counters\""), std::string::npos);
+  EXPECT_EQ(registry.to_json().find("test.bounds_unsorted"), std::string::npos);
+  registry.histogram("test.bounds_unsorted", {1.0, 2.0}).observe(1.5);
+}
+
 TEST(Metrics, HistogramBucketsAndStats) {
   auto& hist = MetricsRegistry::global().histogram("test.hist_buckets",
                                                    {1.0, 2.0, 4.0});

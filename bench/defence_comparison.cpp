@@ -38,12 +38,12 @@ int main() {
   {
     const auto sel = ic::locking::select_gates(
         circuit, 16, ic::locking::SelectionPolicy::Random, 31);
-    report("XOR/XNOR x16", ic::locking::xor_lock(circuit, sel, {0.5, 7}).locked);
+    report("XOR/XNOR x16", ic::locking::xor_lock(circuit, sel, 7).locked);
   }
   {
     const auto sel = ic::locking::select_gates(
         circuit, 1, ic::locking::SelectionPolicy::Random, 31);
-    report("LUT-4 x1", ic::locking::lut_lock(circuit, sel, {4, 7}).locked);
+    report("LUT-4 x1", ic::locking::lut_lock(circuit, sel, 7).locked);
   }
   {
     const auto target = ic::locking::select_gates(

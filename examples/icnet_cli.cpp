@@ -232,13 +232,13 @@ int cmd_lock(const Args& a) {
   if (scheme == "lut4") {
     const auto sel = ic::locking::select_gates(
         original, gates, ic::locking::SelectionPolicy::Random, seed);
-    auto r = ic::locking::lut_lock(original, sel, {4, seed});
+    auto r = ic::locking::lut_lock(original, sel, seed);
     locked = std::move(r.locked);
     key = std::move(r.correct_key);
   } else if (scheme == "xor") {
     const auto sel = ic::locking::select_gates(
         original, gates, ic::locking::SelectionPolicy::Random, seed);
-    auto r = ic::locking::xor_lock(original, sel, {0.5, seed});
+    auto r = ic::locking::xor_lock(original, sel, seed);
     locked = std::move(r.locked);
     key = std::move(r.correct_key);
   } else if (scheme == "antisat") {

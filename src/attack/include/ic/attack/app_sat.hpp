@@ -26,7 +26,6 @@ struct AppSatOptions {
   std::size_t max_iterations = 4096;
   std::uint64_t max_conflicts = 0;
   std::uint64_t seed = 1;
-  sat::SolverConfig solver_config = {};
 };
 
 struct AppSatResult {

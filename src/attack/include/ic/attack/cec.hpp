@@ -5,6 +5,7 @@
 // with modern CDCL heuristics and also returns a counterexample pattern.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -23,10 +24,11 @@ struct CecResult {
 
 /// Check whether a(x, key_a) == b(x, key_b) for all inputs x. The netlists
 /// must agree on input and output counts; keys are substituted as constants.
+/// `max_conflicts` is the solver's conflict budget (0 = unlimited).
 CecResult check_equivalence(const circuit::Netlist& a,
                             const std::vector<bool>& key_a,
                             const circuit::Netlist& b,
                             const std::vector<bool>& key_b,
-                            const sat::SolverConfig& config = {});
+                            std::uint64_t max_conflicts = 0);
 
 }  // namespace ic::attack

@@ -14,7 +14,6 @@
 
 #include "ic/attack/oracle.hpp"
 #include "ic/circuit/netlist.hpp"
-#include "ic/sat/solver.hpp"
 
 namespace ic::attack {
 
@@ -29,8 +28,6 @@ inline constexpr std::array<double, 10> kCalibrationRelErrorBounds = {
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0};
 
 struct AttackOptions {
-  /// Stop after this many DIP iterations (0 = unlimited).
-  std::size_t max_iterations = 0;
   /// Total conflict budget across all solver calls (0 = unlimited). An
   /// exhausted budget aborts the attack with hit_cap = true.
   std::uint64_t max_conflicts = 0;
@@ -46,12 +43,11 @@ struct AttackOptions {
   /// recorded into the estimator.calibration.* histograms. Never steers the
   /// attack.
   double predicted_seconds = 0.0;
-  sat::SolverConfig solver_config = {};
 };
 
 struct AttackResult {
   bool success = false;       ///< key extracted and constraints closed
-  bool hit_cap = false;       ///< aborted on iteration/conflict budget
+  bool hit_cap = false;       ///< aborted on the conflict or wall budget
   std::vector<bool> key;      ///< extracted key (valid when success)
   std::size_t iterations = 0; ///< number of DIPs found
   std::uint64_t oracle_queries = 0;

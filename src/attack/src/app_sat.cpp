@@ -19,7 +19,7 @@ AppSatResult app_sat_attack(const Netlist& locked, Oracle& oracle,
   check_attack_inputs(locked, oracle);
 
   AppSatResult result;
-  Solver solver(options.solver_config);
+  Solver solver;
 
   const CircuitEncoding enc1 = encode_netlist(locked, solver);
   std::vector<Var> shared(locked.size(), sat::kNoVar);

@@ -13,13 +13,14 @@ using sat::Var;
 
 CecResult check_equivalence(const Netlist& a, const std::vector<bool>& key_a,
                             const Netlist& b, const std::vector<bool>& key_b,
-                            const sat::SolverConfig& config) {
+                            std::uint64_t max_conflicts) {
   IC_ASSERT(a.num_inputs() == b.num_inputs());
   IC_ASSERT(a.num_outputs() == b.num_outputs());
   IC_ASSERT(key_a.size() == a.num_keys());
   IC_ASSERT(key_b.size() == b.num_keys());
 
-  Solver solver(config);
+  Solver solver;
+  solver.set_max_conflicts(max_conflicts);
   const CircuitEncoding enc_a = encode_netlist(a, solver);
   std::vector<Var> shared(b.size(), sat::kNoVar);
   for (std::size_t i = 0; i < b.num_inputs(); ++i) {

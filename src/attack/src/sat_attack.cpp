@@ -35,7 +35,7 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
 
   AttackResult result;
   Timer timer;
-  Solver solver(options.solver_config);
+  Solver solver;
 
   telemetry::TraceSpan attack_span("sat_attack");
   // Metric handles are looked up once per process (the registry never frees
@@ -47,7 +47,7 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
   // Live progress slot: phase + DIP count + solver effort counters, read by
   // the heartbeat thread (progress.hpp). Publishing is a few relaxed atomic
   // stores per DIP — unmeasurable next to a solve call.
-  telemetry::ProgressJob progress("sat_attack", options.max_iterations);
+  telemetry::ProgressJob progress("sat_attack");
   progress.set_phase("build_miter");
   if (options.predicted_seconds > 0.0) {
     progress.set_predicted_seconds(options.predicted_seconds);
@@ -163,11 +163,11 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
     last_wall_seconds.set(result.wall_seconds);
 
     // Calibration telemetry: the estimator's prediction against the modeled
-    // seconds the labels are made of (estimated_seconds(); datasets label
-    // with it unless use_wall_time is set), so the error measures the model
-    // and not the machine. Capped attacks are excluded from the error
-    // histograms (their effort is the cap, not the workload) but counted, so
-    // the capped fraction is visible next to the error distribution.
+    // seconds the labels are made of (estimated_seconds(), which datasets
+    // label with), so the error measures the model and not the machine.
+    // Capped attacks are excluded from the error histograms (their effort is
+    // the cap, not the workload) but counted, so the capped fraction is
+    // visible next to the error distribution.
     if (options.predicted_seconds > 0.0) {
       static telemetry::Counter& samples =
           registry.counter("estimator.calibration.samples");
@@ -204,11 +204,6 @@ AttackResult sat_attack(const Netlist& locked, Oracle& oracle,
 
   std::vector<bool> dip(locked.num_inputs());
   for (;;) {
-    if (options.max_iterations != 0 && result.iterations >= options.max_iterations) {
-      result.hit_cap = true;
-      snapshot_stats();
-      return result;
-    }
     if (options.max_conflicts != 0 &&
         solver.stats().conflicts >= options.max_conflicts) {
       result.hit_cap = true;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -93,8 +92,9 @@ class Netlist {
   /// Number of gates that are logic (excludes Input/KeyInput).
   std::size_t num_logic_gates() const;
 
-  /// Fanout lists (computed on demand, cached; invalidated by mutation).
-  const std::vector<std::vector<GateId>>& fanouts() const;
+  /// Fanout lists: entry g lists the gates reading g, in id order (a gate
+  /// reading g on two pins appears twice). Built on each call.
+  std::vector<std::vector<GateId>> fanouts() const;
 
   /// Gate ids in topological order (fanins before fanouts).
   /// Throws std::runtime_error if the netlist is cyclic.
@@ -112,7 +112,6 @@ class Netlist {
 
  private:
   GateId add_gate_impl(Gate g);
-  void invalidate_caches();
 
   std::string name_;
   std::vector<Gate> gates_;
@@ -120,7 +119,6 @@ class Netlist {
   std::vector<GateId> key_inputs_;
   std::vector<GateId> outputs_;
   std::unordered_map<std::string, GateId> by_name_;
-  mutable std::optional<std::vector<std::vector<GateId>>> fanout_cache_;
 };
 
 }  // namespace ic::circuit

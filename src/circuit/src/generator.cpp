@@ -68,7 +68,7 @@ Netlist generate_circuit(const GeneratorSpec& spec, std::string name) {
   // netlist endpoints and (b) no logic is dead. Whatever sinks remain after
   // choosing num_outputs are also promoted to outputs — ISCAS circuits have
   // no dangling logic.
-  const auto& fo = nl.fanouts();
+  const auto fo = nl.fanouts();
   std::vector<GateId> sinks;
   for (GateId id = 0; id < nl.size(); ++id) {
     if (is_logic(nl.gate(id).kind) && fo[id].empty()) sinks.push_back(id);

@@ -28,7 +28,6 @@ GateId Netlist::add_gate_impl(Gate g) {
   const GateId id = static_cast<GateId>(gates_.size());
   by_name_.emplace(g.name, id);
   gates_.push_back(std::move(g));
-  invalidate_caches();
   return id;
 }
 
@@ -123,7 +122,6 @@ void Netlist::replace_with_key_lut(GateId id, std::int32_t key_base) {
   g.kind = GateKind::Lut;
   g.key_base = key_base;
   g.lut_truth.clear();
-  invalidate_caches();
 }
 
 void Netlist::replace_with_key_lut(GateId id, std::int32_t key_base,
@@ -141,7 +139,6 @@ void Netlist::replace_with_key_lut(GateId id, std::int32_t key_base,
   g.key_base = key_base;
   g.fanins = std::move(fanins);
   g.lut_truth.clear();
-  invalidate_caches();
 }
 
 void Netlist::replace_output(GateId old_id, GateId new_id) {
@@ -158,7 +155,6 @@ void Netlist::rewire_fanin(GateId id, GateId old_fanin, GateId new_fanin) {
   IC_ASSERT_MSG(it != fanins.end(),
                 "gate " << gates_[id].name << " has no fanin to rewire");
   *it = new_fanin;
-  invalidate_caches();
 }
 
 const Gate& Netlist::gate(GateId id) const {
@@ -179,37 +175,51 @@ std::size_t Netlist::num_logic_gates() const {
   return n;
 }
 
-const std::vector<std::vector<GateId>>& Netlist::fanouts() const {
-  if (!fanout_cache_) {
-    std::vector<std::vector<GateId>> fo(gates_.size());
-    for (GateId id = 0; id < gates_.size(); ++id) {
-      for (GateId f : gates_[id].fanins) fo[f].push_back(id);
-    }
-    fanout_cache_ = std::move(fo);
+std::vector<std::vector<GateId>> Netlist::fanouts() const {
+  std::vector<std::vector<GateId>> fo(gates_.size());
+  for (GateId id = 0; id < gates_.size(); ++id) {
+    for (GateId f : gates_[id].fanins) fo[f].push_back(id);
   }
-  return *fanout_cache_;
+  return fo;
 }
 
 std::vector<GateId> Netlist::topological_order() const {
-  // Kahn's algorithm over the fanin relation.
-  std::vector<std::size_t> pending(gates_.size());
-  std::vector<GateId> ready;
-  ready.reserve(gates_.size());
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    pending[id] = gates_[id].fanins.size();
-    if (pending[id] == 0) ready.push_back(id);
-  }
-  const auto& fo = fanouts();
-  std::vector<GateId> order;
-  order.reserve(gates_.size());
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const GateId id = ready[head];
-    order.push_back(id);
-    for (GateId succ : fo[id]) {
-      if (--pending[succ] == 0) ready.push_back(succ);
+  // Kahn's algorithm over the fanin relation. The readers of each gate form
+  // a linked list through `edges`, built in one backward pass so that every
+  // list runs in id order, as fanouts() lists them. The order returned
+  // depends on that, and the SAT encoder numbers its variables in it.
+  // Edge indices are 32-bit, like GateId: half the footprint of size_t.
+  constexpr std::uint32_t kEnd = UINT32_MAX;
+  struct Edge {
+    GateId reader;
+    std::uint32_t next;
+  };
+  const std::size_t n = gates_.size();
+  std::vector<std::uint32_t> head(n, kEnd);
+  std::vector<Edge> edges;
+  edges.reserve(2 * n);
+  std::vector<std::uint32_t> pending(n);
+  for (GateId id = static_cast<GateId>(n); id-- > 0;) {
+    const std::vector<GateId>& fanins = gates_[id].fanins;
+    pending[id] = static_cast<std::uint32_t>(fanins.size());
+    for (GateId f : fanins) {
+      edges.push_back({id, head[f]});
+      head[f] = static_cast<std::uint32_t>(edges.size() - 1);
     }
   }
-  IC_CHECK(order.size() == gates_.size(),
+  // `order` doubles as the queue: a gate is appended once ready and visited
+  // in that same order.
+  std::vector<GateId> order;
+  order.reserve(n);
+  for (GateId id = 0; id < n; ++id) {
+    if (pending[id] == 0) order.push_back(id);
+  }
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    for (std::uint32_t e = head[order[next]]; e != kEnd; e = edges[e].next) {
+      if (--pending[edges[e].reader] == 0) order.push_back(edges[e].reader);
+    }
+  }
+  IC_CHECK(order.size() == n,
            "netlist '" << name_ << "' contains a combinational cycle");
   return order;
 }
@@ -268,7 +278,5 @@ std::vector<std::size_t> Netlist::kind_histogram() const {
   for (const Gate& g : gates_) ++hist[static_cast<int>(g.kind)];
   return hist;
 }
-
-void Netlist::invalidate_caches() { fanout_cache_.reset(); }
 
 }  // namespace ic::circuit

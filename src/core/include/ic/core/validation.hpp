@@ -41,7 +41,7 @@ class EnsembleEstimator {
 
   struct Prediction {
     double log_runtime = 0.0;  ///< ensemble mean, label scale
-    double seconds = 0.0;      ///< expm1(mean)/1e6
+    double seconds = 0.0;      ///< data::seconds_of_label(mean)
     double stddev = 0.0;       ///< member disagreement, label scale
   };
   Prediction predict(const std::vector<circuit::GateId>& selection);

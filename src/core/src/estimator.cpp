@@ -1,7 +1,6 @@
 #include "ic/core/estimator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ic/core/model_io.hpp"
 #include "ic/support/assert.hpp"
@@ -96,8 +95,7 @@ double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selectio
 }
 
 double RuntimeEstimator::predict_seconds(const std::vector<GateId>& selection) {
-  // Targets are log(1 + microseconds) — see Dataset::log_targets().
-  return std::expm1(predict_log_runtime(selection)) / 1e6;
+  return data::seconds_of_label(predict_log_runtime(selection));
 }
 
 std::vector<std::size_t> RuntimeEstimator::rank_selections(

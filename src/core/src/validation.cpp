@@ -3,6 +3,7 @@
 #include <cmath>
 #include <future>
 
+#include "ic/data/dataset.hpp"
 #include "ic/data/metrics.hpp"
 #include "ic/support/assert.hpp"
 #include "ic/support/rng.hpp"
@@ -99,7 +100,7 @@ EnsembleEstimator::Prediction EnsembleEstimator::predict(
   double var = 0.0;
   for (double p : preds) var += (p - out.log_runtime) * (p - out.log_runtime);
   out.stddev = std::sqrt(var / static_cast<double>(preds.size()));
-  out.seconds = std::expm1(out.log_runtime) / 1e6;
+  out.seconds = data::seconds_of_label(out.log_runtime);
   return out;
 }
 

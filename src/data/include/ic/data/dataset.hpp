@@ -2,11 +2,12 @@
 //
 // Each instance: pick k random gates, replace them with key-programmable
 // LUT-4s, run the SAT attack against a simulated oracle, and record the
-// deobfuscation cost. Targets are log(1 + seconds); seconds come from the
-// deterministic solver-effort model by default (DESIGN.md §3) or measured
-// wall-clock when requested.
+// deobfuscation cost. The cost is the deterministic solver-effort model's
+// seconds (AttackResult::estimated_seconds(), DESIGN.md §3), and the
+// regression target is label_of_seconds() of it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -15,9 +16,6 @@
 #include "ic/circuit/netlist.hpp"
 #include "ic/data/features.hpp"
 #include "ic/graph/sparse.hpp"
-#include "ic/locking/lut_lock.hpp"
-#include "ic/locking/policy.hpp"
-#include "ic/locking/xor_lock.hpp"
 #include "ic/nn/trainer.hpp"
 
 namespace ic::data {
@@ -39,12 +37,7 @@ struct DatasetOptions {
   std::size_t min_gates = 1;
   std::size_t max_gates = 350;
   ObfuscationScheme scheme = ObfuscationScheme::Lut;
-  locking::LutLockOptions lut = {};
-  locking::XorLockOptions xor_lock = {};
-  locking::SelectionPolicy policy = locking::SelectionPolicy::Random;
   attack::AttackOptions attack = {};
-  /// Label with measured wall time instead of the deterministic cost model.
-  bool use_wall_time = false;
   std::uint64_t seed = 1;
   /// SAT-attack labeling workers: one attack per task. 0 defers to the
   /// IC_JOBS environment variable (unset = serial). Instances are
@@ -58,12 +51,20 @@ struct Dataset {
   std::vector<Instance> instances;
 
   /// Regression targets shared by every model in the evaluation:
-  /// log(1 + runtime in microseconds). The microsecond scale keeps small
-  /// instances (Dataset 2's sub-second attacks) on a usable dynamic range
-  /// while preserving the exponential-growth story — the log of a rescaled
-  /// quantity differs only by an additive constant.
+  /// label_of_seconds() of each instance's runtime.
   std::vector<double> log_targets() const;
 };
+
+/// The label scale: log(1 + runtime in microseconds). The microsecond scale
+/// keeps small instances (Dataset 2's sub-second attacks) on a usable
+/// dynamic range while preserving the exponential-growth story — the log of
+/// a rescaled quantity differs only by an additive constant.
+inline double label_of_seconds(double seconds) {
+  return std::log1p(seconds * 1e6);
+}
+
+/// Inverse of label_of_seconds(): the seconds a predicted label stands for.
+inline double seconds_of_label(double label) { return std::expm1(label) / 1e6; }
 
 /// Generate a labeled dataset by attacking obfuscation instances of `circuit`.
 Dataset generate_dataset(const circuit::Netlist& circuit,

@@ -5,6 +5,9 @@
 
 #include "ic/attack/oracle.hpp"
 #include "ic/graph/structure.hpp"
+#include "ic/locking/lut_lock.hpp"
+#include "ic/locking/policy.hpp"
+#include "ic/locking/xor_lock.hpp"
 #include "ic/support/assert.hpp"
 #include "ic/support/rng.hpp"
 #include "ic/support/telemetry.hpp"
@@ -20,7 +23,7 @@ std::vector<double> Dataset::log_targets() const {
   std::vector<double> out;
   out.reserve(instances.size());
   for (const Instance& inst : instances) {
-    out.push_back(std::log1p(inst.runtime_seconds * 1e6));
+    out.push_back(label_of_seconds(inst.runtime_seconds));
   }
   return out;
 }
@@ -57,24 +60,17 @@ Dataset generate_dataset(const Netlist& circuit, const DatasetOptions& options) 
     const std::size_t k = static_cast<std::size_t>(
         inst_rng.uniform_int(static_cast<std::int64_t>(options.min_gates),
                              static_cast<std::int64_t>(max_gates)));
-    inst.selection =
-        locking::select_gates(circuit, k, options.policy, inst_rng.fork());
+    inst.selection = locking::select_gates(
+        circuit, k, locking::SelectionPolicy::Random, inst_rng.fork());
 
-    circuit::Netlist locked;
-    if (options.scheme == ObfuscationScheme::Lut) {
-      locking::LutLockOptions lut = options.lut;
-      lut.seed = inst_rng.fork();
-      locked = locking::lut_lock(circuit, inst.selection, lut).locked;
-    } else {
-      locking::XorLockOptions xl = options.xor_lock;
-      xl.seed = inst_rng.fork();
-      locked = locking::xor_lock(circuit, inst.selection, xl).locked;
-    }
+    const circuit::Netlist locked =
+        options.scheme == ObfuscationScheme::Lut
+            ? locking::lut_lock(circuit, inst.selection, inst_rng.fork()).locked
+            : locking::xor_lock(circuit, inst.selection, inst_rng.fork()).locked;
 
     attack::NetlistOracle oracle(circuit);
     inst.attack = attack::sat_attack(locked, oracle, options.attack);
-    inst.runtime_seconds = options.use_wall_time ? inst.attack.wall_seconds
-                                                 : inst.attack.estimated_seconds();
+    inst.runtime_seconds = inst.attack.estimated_seconds();
     instance_counter.add(1);
     label_hist.observe(inst.runtime_seconds);
     progress.advance(1);

@@ -41,7 +41,6 @@ DatasetOptions ExperimentProfile::dataset1_options() const {
   o.num_instances = d1_instances;
   o.min_gates = 1;
   o.max_gates = d1_max_gates;
-  o.lut.lut_size = 4;
   o.attack.max_conflicts = attack_max_conflicts;
   o.attack.max_wall_seconds = attack_max_wall_seconds;
   o.seed = seed;
@@ -53,7 +52,6 @@ DatasetOptions ExperimentProfile::dataset2_options() const {
   o.num_instances = d2_instances;
   o.min_gates = 1;
   o.max_gates = 3;
-  o.lut.lut_size = 4;
   o.attack.max_conflicts = attack_max_conflicts;
   o.attack.max_wall_seconds = attack_max_wall_seconds;
   o.seed = seed + 1;

@@ -1,11 +1,11 @@
 // LUT-based logic obfuscation (the scheme the paper's datasets use).
 //
 // Each selected gate is replaced in place by a key-programmable LUT over the
-// same fanins, padded with extra "camouflage" fanins up to `lut_size` (the
-// paper fixes lut_size = 4). The LUT's 2^lut_size truth bits become fresh
-// key inputs; the correct key programs the original gate function into the
-// LUT (don't-care addresses over padded inputs replicate the function so the
-// pad pins are logically inert under the correct key).
+// same fanins, padded with extra "camouflage" fanins up to kLutSize = 4 (the
+// paper's k). The LUT's 2^k truth bits become fresh key inputs; the correct
+// key programs the original gate function into the LUT (don't-care addresses
+// over padded inputs replicate the function so the pad pins are logically
+// inert under the correct key).
 #pragma once
 
 #include <cstdint>
@@ -21,18 +21,15 @@ struct LutLockResult {
   std::vector<circuit::GateId> locked_gates;  ///< ids (in `locked`) of replaced gates
 };
 
-struct LutLockOptions {
-  /// LUT input count; selected gates with more fanins keep their own arity.
-  std::size_t lut_size = 4;
-  /// Seed for choosing camouflage pad fanins.
-  std::uint64_t seed = 1;
-};
+/// LUT input count; selected gates with more fanins keep their own arity.
+inline constexpr std::size_t kLutSize = 4;
 
-/// Replace `gates` (ids into `original`) with key-programmed LUTs.
-/// Preconditions: every id refers to a logic gate (not a source), no
-/// duplicates. The returned netlist preserves gate ids of `original`.
+/// Replace `gates` (ids into `original`) with key-programmed LUTs; `seed`
+/// chooses the camouflage pad fanins. Preconditions: every id refers to a
+/// logic gate (not a source), no duplicates. The returned netlist preserves
+/// gate ids of `original`.
 LutLockResult lut_lock(const circuit::Netlist& original,
                        const std::vector<circuit::GateId>& gates,
-                       const LutLockOptions& options = {});
+                       std::uint64_t seed = 1);
 
 }  // namespace ic::locking

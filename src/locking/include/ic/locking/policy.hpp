@@ -1,8 +1,7 @@
 // Gate-selection policies for obfuscation.
 //
-// The paper's datasets pick gates uniformly at random; the defender's real
-// goal (its motivating use case for the runtime estimator) is to *search*
-// over selections, so a couple of structural heuristics are provided too.
+// The paper's datasets pick gates uniformly at random; the fanout-weighted
+// draw favours hubs (`icnet_cli lock` picks the Anti-SAT flip wire with it).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +14,6 @@ namespace ic::locking {
 enum class SelectionPolicy {
   Random,          ///< uniform over lockable logic gates (paper §IV.A)
   FanoutWeighted,  ///< probability ∝ 1 + fanout (hubs are likelier)
-  DepthWeighted,   ///< probability ∝ 1 + logic depth (deep gates likelier)
-  FaultImpact,     ///< top-k by simulated fault observability (EPIC-style)
 };
 
 /// Pick `count` distinct lockable gates from `netlist`. Lockable gates are
@@ -29,13 +26,5 @@ std::vector<circuit::GateId> select_gates(const circuit::Netlist& netlist,
 
 /// All lockable gate ids, in id order.
 std::vector<circuit::GateId> lockable_gates(const circuit::Netlist& netlist);
-
-/// Fault impact of every gate: the fraction of (random pattern, output)
-/// observations that flip when the gate's value is inverted — estimated by
-/// word-parallel fault injection over `words`×64 random patterns. Locking
-/// high-impact gates maximizes wrong-key corruption, the classic
-/// fault-analysis placement heuristic for logic locking.
-std::vector<double> fault_impact(const circuit::Netlist& netlist,
-                                 std::size_t words = 8, std::uint64_t seed = 1);
 
 }  // namespace ic::locking

@@ -17,18 +17,12 @@ struct XorLockResult {
   std::vector<circuit::GateId> key_gates;
 };
 
-struct XorLockOptions {
-  /// Probability that an inserted key gate is XNOR (correct key bit 1)
-  /// rather than XOR (correct key bit 0).
-  double xnor_fraction = 0.5;
-  std::uint64_t seed = 1;
-};
-
 /// Insert a key gate after each gate in `gates` (ids into `original`):
-/// fanouts of g are rewired to XOR(g, key_i) (or XNOR). Gate ids of
-/// `original` remain valid in `locked`.
+/// fanouts of g are rewired to XOR(g, key_i) or, with probability 1/2 drawn
+/// from `seed`, XNOR(g, key_i) (correct key bit 1 rather than 0). Gate ids
+/// of `original` remain valid in `locked`.
 XorLockResult xor_lock(const circuit::Netlist& original,
                        const std::vector<circuit::GateId>& gates,
-                       const XorLockOptions& options = {});
+                       std::uint64_t seed = 1);
 
 }  // namespace ic::locking

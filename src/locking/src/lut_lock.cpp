@@ -15,12 +15,11 @@ using circuit::Netlist;
 
 LutLockResult lut_lock(const Netlist& original,
                        const std::vector<GateId>& gates,
-                       const LutLockOptions& options) {
-  IC_ASSERT(options.lut_size >= 1 && options.lut_size <= 6);
+                       std::uint64_t seed) {
   LutLockResult result;
   result.locked = original;
   Netlist& nl = result.locked;
-  Rng rng(options.seed);
+  Rng rng(seed);
 
   std::unordered_set<GateId> selected(gates.begin(), gates.end());
   IC_ASSERT_MSG(selected.size() == gates.size(), "duplicate gates in selection");
@@ -43,7 +42,7 @@ LutLockResult lut_lock(const Netlist& original,
     const std::size_t base_arity = fanins.size();
 
     // Pad with camouflage fanins drawn from topological predecessors.
-    if (base_arity < options.lut_size) {
+    if (base_arity < kLutSize) {
       std::vector<GateId> candidates;
       for (GateId cand : order) {
         if (topo_pos[cand] >= topo_pos[id]) break;
@@ -52,7 +51,7 @@ LutLockResult lut_lock(const Netlist& original,
       }
       rng.shuffle(candidates);
       for (GateId cand : candidates) {
-        if (fanins.size() >= options.lut_size) break;
+        if (fanins.size() >= kLutSize) break;
         fanins.push_back(cand);
       }
       // Tiny circuits may not have enough predecessors; the LUT then simply
@@ -79,7 +78,7 @@ LutLockResult lut_lock(const Netlist& original,
     result.locked_gates.push_back(id);
   }
 
-  nl.set_name(original.name() + "_lut" + std::to_string(options.lut_size) + "x" +
+  nl.set_name(original.name() + "_lut" + std::to_string(kLutSize) + "x" +
               std::to_string(gates.size()));
   nl.validate();
   IC_ASSERT(result.correct_key.size() == nl.num_keys());

@@ -1,7 +1,6 @@
 #include "ic/locking/policy.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "ic/circuit/gate.hpp"
 #include "ic/support/assert.hpp"
@@ -62,66 +61,6 @@ std::vector<GateId> weighted_sample(const std::vector<GateId>& pool,
 
 }  // namespace
 
-std::vector<double> fault_impact(const Netlist& nl, std::size_t words,
-                                 std::uint64_t seed) {
-  Rng rng(seed);
-  const auto order = nl.topological_order();
-  std::vector<double> impact(nl.size(), 0.0);
-  std::vector<std::uint64_t> value(nl.size(), 0);
-  std::vector<std::uint64_t> faulty(nl.size(), 0);
-  std::vector<std::uint64_t> fanin_words;
-
-  auto eval_into = [&](std::vector<std::uint64_t>& v, GateId fault_gate) {
-    for (GateId id : order) {
-      const auto& g = nl.gate(id);
-      if (!circuit::is_logic(g.kind)) continue;  // sources preset
-      fanin_words.clear();
-      for (GateId f : g.fanins) fanin_words.push_back(v[f]);
-      std::uint64_t out;
-      if (g.kind == circuit::GateKind::Lut) {
-        out = 0;
-        const std::size_t rows = std::size_t{1} << g.fanins.size();
-        for (std::size_t address = 0; address < rows; ++address) {
-          if (g.key_base >= 0 || !g.lut_truth[address]) continue;
-          std::uint64_t match = ~std::uint64_t{0};
-          for (std::size_t b = 0; b < fanin_words.size(); ++b) {
-            match &= ((address >> b) & 1u) ? fanin_words[b] : ~fanin_words[b];
-          }
-          out |= match;
-        }
-      } else {
-        out = circuit::eval_gate_words(g.kind, fanin_words);
-      }
-      if (id == fault_gate) out = ~out;  // stuck-inverted fault
-      v[id] = out;
-    }
-  };
-
-  const auto candidates = lockable_gates(nl);
-  const double total_obs =
-      static_cast<double>(words * 64 * std::max<std::size_t>(1, nl.num_outputs()));
-
-  for (std::size_t w = 0; w < words; ++w) {
-    for (GateId id : nl.primary_inputs()) {
-      value[id] = static_cast<std::uint64_t>(rng.engine()());
-    }
-    for (GateId id : nl.key_inputs()) value[id] = 0;
-    eval_into(value, circuit::kNoGate);
-
-    for (GateId g : candidates) {
-      faulty = value;  // sources keep their patterns
-      eval_into(faulty, g);
-      std::size_t flipped = 0;
-      for (GateId o : nl.outputs()) {
-        flipped += static_cast<std::size_t>(
-            __builtin_popcountll(value[o] ^ faulty[o]));
-      }
-      impact[g] += static_cast<double>(flipped) / total_obs;
-    }
-  }
-  return impact;
-}
-
 std::vector<GateId> select_gates(const Netlist& nl, std::size_t count,
                                  SelectionPolicy policy, std::uint64_t seed) {
   const auto pool = lockable_gates(nl);
@@ -138,32 +77,13 @@ std::vector<GateId> select_gates(const Netlist& nl, std::size_t count,
       return out;
     }
     case SelectionPolicy::FanoutWeighted: {
-      const auto& fo = nl.fanouts();
+      const auto fo = nl.fanouts();
       std::vector<double> w;
       w.reserve(pool.size());
       for (GateId id : pool) w.push_back(1.0 + static_cast<double>(fo[id].size()));
       auto out = weighted_sample(pool, std::move(w), count, rng);
       std::sort(out.begin(), out.end());
       return out;
-    }
-    case SelectionPolicy::DepthWeighted: {
-      const auto depth = nl.depths();
-      std::vector<double> w;
-      w.reserve(pool.size());
-      for (GateId id : pool) w.push_back(1.0 + static_cast<double>(depth[id]));
-      auto out = weighted_sample(pool, std::move(w), count, rng);
-      std::sort(out.begin(), out.end());
-      return out;
-    }
-    case SelectionPolicy::FaultImpact: {
-      const auto impact = fault_impact(nl, 8, seed);
-      std::vector<GateId> ranked = pool;
-      std::stable_sort(ranked.begin(), ranked.end(), [&](GateId a, GateId b) {
-        return impact[a] > impact[b];
-      });
-      ranked.resize(count);
-      std::sort(ranked.begin(), ranked.end());
-      return ranked;
     }
   }
   IC_ASSERT_MSG(false, "unhandled SelectionPolicy");

@@ -11,13 +11,20 @@ using circuit::GateId;
 using circuit::GateKind;
 using circuit::Netlist;
 
+namespace {
+
+/// Probability that an inserted key gate is XNOR rather than XOR.
+constexpr double kXnorFraction = 0.5;
+
+}  // namespace
+
 XorLockResult xor_lock(const Netlist& original,
                        const std::vector<GateId>& gates,
-                       const XorLockOptions& options) {
+                       std::uint64_t seed) {
   XorLockResult result;
   result.locked = original;
   Netlist& nl = result.locked;
-  Rng rng(options.seed);
+  Rng rng(seed);
 
   std::unordered_set<GateId> selected(gates.begin(), gates.end());
   IC_ASSERT_MSG(selected.size() == gates.size(), "duplicate gates in selection");
@@ -26,7 +33,7 @@ XorLockResult xor_lock(const Netlist& original,
     IC_ASSERT_MSG(circuit::is_logic(nl.gate(id).kind) ||
                       nl.gate(id).kind == GateKind::Input,
                   "cannot key-lock gate " << id);
-    const bool use_xnor = rng.bernoulli(options.xnor_fraction);
+    const bool use_xnor = rng.bernoulli(kXnorFraction);
     const std::size_t key_index = nl.num_keys();
     const GateId key = nl.add_key_input("keyinput" + std::to_string(key_index));
     result.correct_key.push_back(use_xnor);

@@ -27,14 +27,9 @@ struct TrainOptions {
   /// §IV.B).
   double tolerance = 1e-4;
   std::size_t patience = 20;
-  /// Clip the global gradient norm per batch (0 disables). Prevents the
-  /// exponential head from being knocked into its saturated region by one
-  /// bad minibatch.
-  double max_grad_norm = 5.0;
   /// Decoupled weight decay (AdamW); regularizes the small-sample regime.
   double weight_decay = 1e-4;
   std::uint64_t seed = 7;
-  bool verbose = false;
   /// Per-graph forward/backward workers within a minibatch (0 = IC_JOBS,
   /// unset = serial). Each sample's gradient contribution is computed in a
   /// per-sample buffer and reduced on the calling thread in sample order,
@@ -54,7 +49,8 @@ struct TrainReport {
   double wall_seconds = 0.0;
 };
 
-/// Train with Adam on MSE. Returns the per-epoch loss trace.
+/// Train with Adam on MSE, clipping each batch's global gradient norm to 5.
+/// Returns the per-epoch loss trace.
 TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train,
                       const TrainOptions& options = {});
 

@@ -13,6 +13,14 @@
 
 namespace ic::nn {
 
+namespace {
+
+/// Clip bound on a batch's global gradient norm. Keeps one bad minibatch
+/// from knocking the exponential head into its saturated region.
+constexpr double kMaxGradNorm = 5.0;
+
+}  // namespace
+
 TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train,
                       const TrainOptions& options) {
   IC_ASSERT(!train.empty());
@@ -85,18 +93,15 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
           batch_grads[k] += sample_grads[b][k];
         }
       }
-      if (options.max_grad_norm > 0.0) {
-        double norm2 = 0.0;
-        for (const auto* g : grads) {
-          const double n = g->frobenius_norm();
-          norm2 += n * n;
-        }
-        const double norm = std::sqrt(norm2);
-        last_grad_norm = norm;
-        if (norm > options.max_grad_norm) {
-          const double scale = options.max_grad_norm / norm;
-          for (auto* g : grads) *g *= scale;
-        }
+      double norm2 = 0.0;
+      for (const auto* g : grads) {
+        const double n = g->frobenius_norm();
+        norm2 += n * n;
+      }
+      last_grad_norm = std::sqrt(norm2);
+      if (last_grad_norm > kMaxGradNorm) {
+        const double scale = kMaxGradNorm / last_grad_norm;
+        for (auto* g : grads) *g *= scale;
       }
       optimizer.step(params, grads);
     }
@@ -114,14 +119,6 @@ TrainReport train_gnn(GnnRegressor& model, const std::vector<GraphSample>& train
                  << telemetry::kv("mse", epoch_loss)
                  << telemetry::kv("grad_norm", last_grad_norm)
                  << telemetry::kv("seconds", epoch_timer.seconds());
-    if (options.verbose && epoch % 20 == 0) {
-      // `verbose` is an explicit caller request: emit through the logger's
-      // sink unconditionally, regardless of the runtime level threshold.
-      telemetry::LogRecord(telemetry::Level::info, __FILE__, __LINE__)
-          << "epoch " << epoch << "  train mse " << epoch_loss
-          << telemetry::kv("grad_norm", last_grad_norm)
-          << telemetry::kv("epoch_s", epoch_timer.seconds());
-    }
     if (epoch_loss < best_loss * (1.0 - options.tolerance)) {
       best_loss = epoch_loss;
       stale = 0;

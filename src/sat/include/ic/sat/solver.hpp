@@ -5,6 +5,8 @@
 // restarts, and activity-based learnt-clause database reduction. It solves
 // incrementally under assumptions, which is what the oracle-guided SAT
 // attack needs (the clause database persists across DIP iterations).
+// The heuristics' constants (activity decays, restart interval, learnt-DB
+// limit) are fixed in solver.cpp; the one setting is the conflict budget.
 //
 // Memory layout (DESIGN.md §11): clauses live in a flat uint32 arena
 // (ic/sat/clause_arena.hpp), watcher lists carry blocker literals so most
@@ -41,24 +43,8 @@ struct SolverStats {
   std::uint64_t clauses_added = 0;
 };
 
-struct SolverConfig {
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  /// Initial restart interval in conflicts (multiplied by the Luby sequence).
-  std::uint64_t restart_base = 100;
-  /// Learnt-DB reduction threshold: reduce when learnt count exceeds
-  /// max(db_base, db_factor * problem clauses).
-  std::size_t db_base = 4000;
-  double db_factor = 0.5;
-  /// Conflict budget for solve(); 0 = unlimited. Exhausted budget returns
-  /// Result::Unknown.
-  std::uint64_t max_conflicts = 0;
-};
-
 class Solver {
  public:
-  explicit Solver(SolverConfig config = {});
-
   /// Create a fresh variable; returns its index.
   Var new_var();
   std::size_t num_vars() const { return static_cast<std::size_t>(next_var_); }
@@ -81,8 +67,9 @@ class Solver {
   /// Model value of v after a Sat answer.
   bool model_value(Var v) const;
 
-  /// Adjust the conflict budget for subsequent solve() calls (0 = unlimited).
-  void set_max_conflicts(std::uint64_t budget) { config_.max_conflicts = budget; }
+  /// Conflict budget for subsequent solve() calls (0 = unlimited, the
+  /// default). An exhausted budget returns Result::Unknown.
+  void set_max_conflicts(std::uint64_t budget) { max_conflicts_ = budget; }
 
   const SolverStats& stats() const { return stats_; }
   bool okay() const { return ok_; }
@@ -112,9 +99,7 @@ class Solver {
 
   // ---- heuristics ----
   void bump_var(Var v);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
   void bump_clause(ClauseHandle c);
-  void decay_clause_activity() { clause_inc_ /= config_.clause_decay; }
   Lit pick_branch_lit();
   void reduce_db();
   static std::uint64_t luby(std::uint64_t i);
@@ -144,7 +129,7 @@ class Solver {
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
 
-  SolverConfig config_;
+  std::uint64_t max_conflicts_ = 0;
   bool ok_ = true;
 
   Var next_var_ = 0;

@@ -32,7 +32,20 @@
 
 namespace ic::sat {
 
-Solver::Solver(SolverConfig config) : config_(config) {}
+namespace {
+
+// Search heuristics (MiniSat's values). The golden corpus pins the counters
+// they produce, so they are constants, not settings.
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+/// Initial restart interval in conflicts, scaled by the Luby sequence.
+constexpr std::uint64_t kRestartBase = 100;
+/// Reduce the learnt DB once it holds more than
+/// max(kDbBase, kDbFactor * problem clauses) clauses.
+constexpr std::size_t kDbBase = 4000;
+constexpr double kDbFactor = 0.5;
+
+}  // namespace
 
 Var Solver::new_var() {
   const Var v = next_var_++;
@@ -627,11 +640,11 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
   }
   simplify();
 
-  const std::uint64_t conflict_budget = config_.max_conflicts;
+  const std::uint64_t conflict_budget = max_conflicts_;
   const std::uint64_t start_conflicts = stats_.conflicts;
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_since_restart = 0;
-  std::uint64_t restart_limit = config_.restart_base * luby(restart_count);
+  std::uint64_t restart_limit = kRestartBase * luby(restart_count);
 
   std::vector<Lit> learnt;
   for (;;) {
@@ -662,8 +675,8 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         bump_clause(arena_.get(ref));
         enqueue(learnt[0], ref);
       }
-      decay_var_activity();
-      decay_clause_activity();
+      var_inc_ /= kVarDecay;
+      clause_inc_ /= kClauseDecay;
 
       if (conflict_budget != 0 &&
           stats_.conflicts - start_conflicts >= conflict_budget) {
@@ -678,14 +691,14 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       ++stats_.restarts;
       ++restart_count;
       conflicts_since_restart = 0;
-      restart_limit = config_.restart_base * luby(restart_count);
+      restart_limit = kRestartBase * luby(restart_count);
       cancel_until(0);
       continue;
     }
 
     if (num_learnt_clauses_ >
-        std::max(config_.db_base,
-                 static_cast<std::size_t>(config_.db_factor *
+        std::max(kDbBase,
+                 static_cast<std::size_t>(kDbFactor *
                                           static_cast<double>(num_problem_clauses_)))) {
       reduce_db();
     }

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "ic/attack/oracle.hpp"
+#include "ic/data/dataset.hpp"
 #include "ic/locking/anti_sat.hpp"
 #include "ic/locking/lut_lock.hpp"
 #include "ic/locking/policy.hpp"
@@ -46,8 +47,8 @@ std::size_t key_bits_for(LockScheme scheme,
     case LockScheme::Lut4: {
       std::size_t bits = 0;
       for (const GateId id : selection) {
-        const std::size_t arity =
-            std::max<std::size_t>(4, circuit.gate(id).fanins.size());
+        const std::size_t arity = std::max<std::size_t>(
+            locking::kLutSize, circuit.gate(id).fanins.size());
         bits += static_cast<std::size_t>(1) << arity;
       }
       return bits;
@@ -260,8 +261,7 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
     const auto it = scored.find(report.best_selection);
     IC_ASSERT(it != scored.end());
     report.best_predicted_log_runtime = it->second.second;
-    report.best_predicted_seconds =
-        std::expm1(it->second.second) / 1e6;
+    report.best_predicted_seconds = data::seconds_of_label(it->second.second);
   }
 
   // ---- top-k verification with the real SAT attack -------------------------
@@ -284,19 +284,18 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
       verified.selection = selection;
       verified.objective = ranked[i]->second.first;
       verified.predicted_log_runtime = ranked[i]->second.second;
-      verified.predicted_seconds = std::expm1(verified.predicted_log_runtime) / 1e6;
+      verified.predicted_seconds =
+          data::seconds_of_label(verified.predicted_log_runtime);
       verified.key_bits =
           key_bits_for(options.scheme, selection, circuit, options.budget);
 
       Netlist locked;
       switch (options.scheme) {
         case LockScheme::Lut4:
-          locked = locking::lut_lock(circuit, selection, {4, options.seed})
-                       .locked;
+          locked = locking::lut_lock(circuit, selection, options.seed).locked;
           break;
         case LockScheme::Xor:
-          locked = locking::xor_lock(circuit, selection, {0.5, options.seed})
-                       .locked;
+          locked = locking::xor_lock(circuit, selection, options.seed).locked;
           break;
         case LockScheme::AntiSat:
           locked = locking::anti_sat_lock(circuit, selection[0],

@@ -249,7 +249,7 @@ class InferenceEngine {
   telemetry::Histogram& batch_size_;       // serve.batch_size
   /// serve.stage.<name>_seconds, indexed by Stage.
   std::array<telemetry::Histogram*, telemetry::kStageCount> stage_hist_{};
-  telemetry::TraceStore traces_{{}};
+  telemetry::TraceStore traces_;
   /// Heartbeat slot: requests served and live queue depth. The engine idles
   /// legitimately between requests, so the stall watchdog is off.
   telemetry::ProgressJob progress_{"serve.engine"};

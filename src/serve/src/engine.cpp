@@ -1,7 +1,6 @@
 #include "ic/serve/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 
 #include "ic/circuit/bench_io.hpp"
@@ -279,8 +278,7 @@ PredictResult InferenceEngine::process_inner(Pending& pending,
     out.log_runtime = snapshot->model->predict(
         *prepared->structure, prepared->base, request.selection, rows,
         workspace);
-    // Targets are log(1 + microseconds); mirror RuntimeEstimator exactly.
-    out.seconds = std::expm1(out.log_runtime) / 1e6;
+    out.seconds = data::seconds_of_label(out.log_runtime);
     out.model_version = snapshot->version;
     return out;
   } catch (const std::exception& e) {

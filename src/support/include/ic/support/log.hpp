@@ -123,7 +123,7 @@ KeyValue<T> kv(const char* key, const T& value) {
 
 /// A log statement being assembled. Flushes one line to the global logger on
 /// destruction. Construct directly to emit unconditionally (e.g. the
-/// trainer's `verbose` path); normal code goes through ICLOG.
+/// heartbeat under `always_log`); normal code goes through ICLOG.
 class LogRecord {
  public:
   LogRecord(Level level, const char* file, int line);

@@ -97,20 +97,12 @@ struct TraceRecord {
   double total_seconds = 0.0;
 };
 
-/// Tail-sampling store: keep the K slowest requests (by total_seconds) plus
-/// every N-th request in a uniform ring, so both the pathological tail and
-/// the typical request shape stay queryable. Append is a short critical
-/// section — off the wire loop, once per request.
+/// Tail-sampling store: keep the 8 slowest requests (by total_seconds) plus
+/// every 16th request in a 32-entry uniform ring, so both the pathological
+/// tail and the typical request shape stay queryable. Append is a short
+/// critical section — off the wire loop, once per request.
 class TraceStore {
  public:
-  struct Options {
-    std::size_t slowest = 8;        // K: the slowest requests kept
-    std::size_t ring = 32;          // uniform-sample ring size
-    std::size_t sample_every = 16;  // 1-in-N uniform sampling rate
-  };
-
-  explicit TraceStore(const Options& options);
-
   void record(TraceRecord record);
 
   /// All retained records: slowest first, then ring order.
@@ -119,7 +111,6 @@ class TraceStore {
   std::uint64_t recorded() const;  ///< total records offered (not retained)
 
  private:
-  Options options_;
   mutable std::mutex mu_;
   std::vector<TraceRecord> slowest_;  // kept sorted, smallest total first
   std::vector<TraceRecord> ring_;

@@ -62,34 +62,35 @@ void mark_stage(Stage stage) {
   if (timeline != nullptr) timeline->mark(stage);
 }
 
-TraceStore::TraceStore(const Options& options) : options_(options) {
-  if (options_.sample_every == 0) options_.sample_every = 1;
-}
+namespace {
+
+constexpr std::size_t kSlowestKept = 8;   // the slowest requests kept
+constexpr std::size_t kRingSize = 32;     // uniform-sample ring size
+constexpr std::size_t kSampleEvery = 16;  // 1-in-N uniform sampling rate
+
+}  // namespace
 
 void TraceStore::record(TraceRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   seen_ += 1;
-  // Tail: keep the K slowest, sorted fastest-first so the eviction candidate
+  // Tail: keep the slowest, sorted fastest-first so the eviction candidate
   // is always front().
-  if (options_.slowest > 0) {
-    const bool full = slowest_.size() >= options_.slowest;
-    if (!full || record.total_seconds > slowest_.front().total_seconds) {
-      if (full) slowest_.erase(slowest_.begin());
-      const auto pos = std::lower_bound(
-          slowest_.begin(), slowest_.end(), record.total_seconds,
-          [](const TraceRecord& r, double t) { return r.total_seconds < t; });
-      slowest_.insert(pos, record);
-    }
+  const bool full = slowest_.size() >= kSlowestKept;
+  if (!full || record.total_seconds > slowest_.front().total_seconds) {
+    if (full) slowest_.erase(slowest_.begin());
+    const auto pos = std::lower_bound(
+        slowest_.begin(), slowest_.end(), record.total_seconds,
+        [](const TraceRecord& r, double t) { return r.total_seconds < t; });
+    slowest_.insert(pos, record);
   }
-  // Uniform: every N-th request, into a fixed ring.
-  if (options_.ring > 0 &&
-      seen_ % options_.sample_every == 1 % options_.sample_every) {
-    if (ring_.size() < options_.ring) {
+  // Uniform: records 1, 1 + N, 1 + 2N, ... into a fixed ring.
+  if (seen_ % kSampleEvery == 1) {
+    if (ring_.size() < kRingSize) {
       ring_.push_back(std::move(record));
     } else {
       ring_[ring_next_] = std::move(record);
     }
-    ring_next_ = (ring_next_ + 1) % options_.ring;
+    ring_next_ = (ring_next_ + 1) % kRingSize;
   }
 }
 

@@ -91,8 +91,6 @@ TEST(Cec, AgreesWithBddOnLockedCircuits) {
 
 TEST(Cec, BudgetExhaustionReportsUndecided) {
   const Netlist nl = circuit::c2670_like();
-  sat::SolverConfig cfg;
-  cfg.max_conflicts = 1;
   // Equivalence of a circuit with itself is easy, so compare against a
   // different circuit of the same interface to force search.
   circuit::GeneratorSpec spec;
@@ -101,7 +99,7 @@ TEST(Cec, BudgetExhaustionReportsUndecided) {
   spec.num_gates = nl.num_logic_gates();
   spec.seed = 1234567;
   const Netlist other = circuit::generate_circuit(spec, "other");
-  const CecResult r = check_equivalence(nl, {}, other, {}, cfg);
+  const CecResult r = check_equivalence(nl, {}, other, {}, /*max_conflicts=*/1);
   // Either the single allowed conflict sufficed (unlikely but fine) or the
   // checker honestly reports "undecided".
   if (!r.decided) {

@@ -79,26 +79,6 @@ TEST(SatAttack, ExtractedKeyMayDifferFromInsertedKeyButMustBeFunctional) {
   EXPECT_EQ(verify_key(locked.locked, r.key, original), 0u);
 }
 
-TEST(SatAttack, IterationCapAborts) {
-  circuit::GeneratorSpec spec;
-  spec.num_inputs = 14;
-  spec.num_outputs = 7;
-  spec.num_gates = 100;
-  spec.seed = 31;
-  const Netlist original = circuit::generate_circuit(spec, "cap");
-  const auto sel =
-      locking::select_gates(original, 12, locking::SelectionPolicy::Random, 8);
-  const auto locked = locking::lut_lock(original, sel);
-  NetlistOracle oracle(original);
-  AttackOptions opt;
-  opt.max_iterations = 1;
-  const AttackResult r = sat_attack(locked.locked, oracle, opt);
-  if (!r.success) {
-    EXPECT_TRUE(r.hit_cap);
-    EXPECT_LE(r.iterations, 1u);
-  }
-}
-
 TEST(SatAttack, ConflictCapAborts) {
   circuit::GeneratorSpec spec;
   spec.num_inputs = 16;

@@ -154,7 +154,7 @@ TEST(CircuitBdd, CorruptionRateMatchesExhaustiveSimulation) {
   const auto original = circuit::c17();
   const auto sel =
       locking::select_gates(original, 3, locking::SelectionPolicy::Random, 7);
-  const auto r = locking::lut_lock(original, sel, {3, 7});
+  const auto r = locking::lut_lock(original, sel, 7);
   std::vector<bool> wrong = r.correct_key;
   for (std::size_t i = 0; i < wrong.size(); i += 2) wrong[i] = !wrong[i];
 

@@ -44,7 +44,7 @@ TEST(Generator, NoDeadLogic) {
   spec.num_gates = 120;
   spec.seed = 21;
   const Netlist nl = generate_circuit(spec, "t");
-  const auto& fo = nl.fanouts();
+  const auto fo = nl.fanouts();
   for (GateId id = 0; id < nl.size(); ++id) {
     if (!is_logic(nl.gate(id).kind)) continue;
     const bool is_output = std::find(nl.outputs().begin(), nl.outputs().end(),

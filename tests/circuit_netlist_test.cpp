@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "ic/circuit/netlist.hpp"
+#include "ic/locking/lut_lock.hpp"
 
 namespace ic::circuit {
 namespace {
@@ -79,7 +82,7 @@ TEST(Netlist, DepthsAreLongestPaths) {
 
 TEST(Netlist, FanoutsInvertFanins) {
   const Netlist nl = tiny();
-  const auto& fo = nl.fanouts();
+  const auto fo = nl.fanouts();
   const GateId a = nl.find("a");
   const GateId g1 = nl.find("g1");
   ASSERT_EQ(fo[a].size(), 1u);
@@ -157,6 +160,51 @@ TEST(Netlist, KeyInputOrderMatchesKeyBase) {
   for (int i = 0; i < 5; ++i) nl.add_key_input("keyinput" + std::to_string(i));
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(nl.gate(nl.key_inputs()[i]).key_base, static_cast<std::int32_t>(i));
+  }
+}
+
+// Dataset labelling locks and attacks one const circuit from every worker,
+// so reading a netlist must write nothing shared. The netlist is fresh
+// (never validated or sorted) when the threads start; the tsan CI job runs
+// this test under ThreadSanitizer.
+TEST(Netlist, ConcurrentReadersOfAFreshNetlistAgree) {
+  const auto build = [] {
+    Netlist nl("shared");
+    std::vector<GateId> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(nl.add_input(std::to_string(i)));
+    const GateKind kinds[] = {GateKind::And, GateKind::Or, GateKind::Xor,
+                              GateKind::Nand};
+    for (std::size_t i = 0; i < 40; ++i) {
+      pool.push_back(nl.add_gate(kinds[i % 4], {pool[i], pool[i + 5]},
+                                 std::to_string(6 + i)));
+    }
+    nl.mark_output(pool.back());
+    nl.mark_output(pool[pool.size() - 3]);
+    return nl;
+  };
+  const std::vector<GateId> selection{10, 25, 40};
+  const Netlist reference = build();
+  const auto expected_order = reference.topological_order();
+  const auto expected_key = locking::lut_lock(reference, selection).correct_key;
+
+  const Netlist shared = build();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<GateId>> orders(kThreads);
+  std::vector<std::vector<bool>> keys(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      orders[t] = shared.topological_order();
+      keys[t] = locking::lut_lock(shared, selection).correct_key;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(orders[t], expected_order) << t;
+    EXPECT_EQ(keys[t], expected_key) << t;
   }
 }
 

@@ -176,9 +176,8 @@ std::vector<std::pair<std::string, std::string>> build_corpus() {
 
   // -- Conflict budget: the Unknown path ----------------------------------
   {
-    SolverConfig cfg;
-    cfg.max_conflicts = 20;
-    Solver s(cfg);
+    Solver s;
+    s.set_max_conflicts(20);
     add_php(s, 8, 7);
     const Result r = s.solve();
     corpus.emplace_back("php.budget", stats_payload(r, s));

@@ -161,9 +161,8 @@ TEST(Solver, IncrementalAddAfterSolve) {
 }
 
 TEST(Solver, ConflictBudgetReturnsUnknown) {
-  SolverConfig cfg;
-  cfg.max_conflicts = 1;
-  Solver s(cfg);
+  Solver s;
+  s.set_max_conflicts(1);
   add_php(s, 7, 6);  // needs far more than one conflict
   EXPECT_EQ(s.solve(), Result::Unknown);
   EXPECT_TRUE(s.okay());

@@ -10,6 +10,9 @@
 
 #include "ic/core/estimator.hpp"
 #include "ic/circuit/generator.hpp"
+#include "ic/locking/anti_sat.hpp"
+#include "ic/locking/lut_lock.hpp"
+#include "ic/locking/xor_lock.hpp"
 #include "ic/search/report.hpp"
 #include "ic/search/search.hpp"
 #include "ic/search/selection.hpp"
@@ -153,16 +156,21 @@ TEST(SelectionParse, CheckRejectsOutOfRangeAndDuplicatesWithContext) {
 // ---- objective pieces -------------------------------------------------------
 
 TEST(KeyBits, PerScheme) {
+  // The area term must count the key inputs the verification lock adds.
   const Netlist circuit = test_circuit();
-  EXPECT_EQ(key_bits_for(LockScheme::Xor, {1, 2, 3}, circuit, 3), 3u);
-  EXPECT_EQ(key_bits_for(LockScheme::AntiSat, {4}, circuit, 6), 12u);
-  std::size_t expected = 0;
-  const std::vector<GateId> selection{40, 50, 60};
-  for (const GateId id : selection) {
-    expected += static_cast<std::size_t>(1)
-                << std::max<std::size_t>(4, circuit.gate(id).fanins.size());
+  const std::vector<GateId> selections[] = {{40, 50, 60}, {12}, {15, 33, 63}};
+  for (const std::vector<GateId>& selection : selections) {
+    SCOPED_TRACE(selection.size());
+    EXPECT_EQ(key_bits_for(LockScheme::Lut4, selection, circuit, 3),
+              locking::lut_lock(circuit, selection, 5).locked.num_keys());
+    EXPECT_EQ(key_bits_for(LockScheme::Xor, selection, circuit, 3),
+              locking::xor_lock(circuit, selection, 5).locked.num_keys());
+    for (const std::size_t width : {2u, 6u}) {
+      EXPECT_EQ(key_bits_for(LockScheme::AntiSat, selection, circuit, width),
+                locking::anti_sat_lock(circuit, selection[0], {width, 5})
+                    .locked.num_keys());
+    }
   }
-  EXPECT_EQ(key_bits_for(LockScheme::Lut4, selection, circuit, 3), expected);
 }
 
 // ---- oracles ----------------------------------------------------------------

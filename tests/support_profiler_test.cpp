@@ -350,49 +350,41 @@ TraceRecord make_record(const std::string& id, double total_seconds) {
 }
 
 TEST(TraceStore, KeepsTheSlowestRequests) {
-  TraceStore::Options options;
-  options.slowest = 2;
-  options.ring = 0;
-  options.sample_every = 1 << 20;  // effectively disable uniform sampling
-  TraceStore store(options);
-
-  store.record(make_record("fast", 0.001));
-  store.record(make_record("slow", 0.5));
-  store.record(make_record("medium", 0.01));
-  store.record(make_record("slowest", 2.0));
-
+  // 40 records with distinct totals in shuffled arrival order: the 8
+  // slowest lead the snapshot, slowest first, then arrivals 1, 17 and 33
+  // from the uniform ring.
+  TraceStore store;
+  for (int i = 0; i < 40; ++i) {
+    const int rank = (i * 7) % 40;  // a permutation of 0..39
+    store.record(make_record(std::to_string(rank), 0.001 * (rank + 1)));
+  }
   const auto snapshot = store.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  // Slowest-first ordering in the snapshot.
-  EXPECT_EQ(snapshot[0].request_id, "slowest");
-  EXPECT_EQ(snapshot[1].request_id, "slow");
-  EXPECT_EQ(store.recorded(), 4u);
+  ASSERT_EQ(snapshot.size(), 8u + 3u);
+  for (int k = 0; k < 8; ++k) {
+    EXPECT_EQ(snapshot[k].request_id, std::to_string(39 - k));
+  }
+  EXPECT_EQ(store.recorded(), 40u);
 }
 
 TEST(TraceStore, UniformRingSamplesEveryNth) {
-  TraceStore::Options options;
-  options.slowest = 0;
-  options.ring = 4;
-  options.sample_every = 3;
-  TraceStore store(options);
-
-  for (int i = 0; i < 9; ++i) {
-    store.record(make_record("r" + std::to_string(i), 0.001));
+  // Every 16th record (1-indexed arrival 1, 17, 33, ...) enters a 32-entry
+  // ring; equal totals keep the first 8 records as the "slowest".
+  TraceStore store;
+  for (int i = 0; i < 16 * 34; ++i) {
+    store.record(make_record(std::to_string(i), 0.001));
   }
-  // Records 1, 4, 7 (1-indexed arrival order) land in the ring.
   const auto snapshot = store.snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].request_id, "r0");
-  EXPECT_EQ(snapshot[1].request_id, "r3");
-  EXPECT_EQ(snapshot[2].request_id, "r6");
+  ASSERT_EQ(snapshot.size(), 8u + 32u);
+  // Samples 33 and 34 overwrote the ring's first two slots.
+  EXPECT_EQ(snapshot[8].request_id, std::to_string(16 * 32));
+  EXPECT_EQ(snapshot[9].request_id, std::to_string(16 * 33));
+  for (int j = 2; j < 32; ++j) {
+    EXPECT_EQ(snapshot[8 + j].request_id, std::to_string(16 * j));
+  }
 }
 
 TEST(TraceStore, ConcurrentAppendAndQueryStaysConsistent) {
-  TraceStore::Options options;
-  options.slowest = 8;
-  options.ring = 16;
-  options.sample_every = 4;
-  TraceStore store(options);
+  TraceStore store;
 
   constexpr int kWriters = 8;
   constexpr int kPerWriter = 500;
@@ -429,7 +421,7 @@ TEST(TraceStore, ConcurrentAppendAndQueryStaysConsistent) {
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
   const auto snapshot = store.snapshot();
   // Retention cap: at most slowest + ring.
-  EXPECT_LE(snapshot.size(), 8u + 16u);
+  EXPECT_LE(snapshot.size(), 8u + 32u);
   EXPECT_GT(snapshot.size(), 0u);
 }
 

@@ -78,8 +78,8 @@ TEST(Log, KeyValuePairsAndPrefix) {
 }
 
 TEST(Log, DirectRecordBypassesThreshold) {
-  // The trainer's `verbose` path constructs LogRecord directly: it must write
-  // even when the runtime level would suppress an equivalent ICLOG.
+  // The heartbeat's `always_log` path constructs LogRecord directly: it must
+  // write even when the runtime level would suppress an equivalent ICLOG.
   ScopedMemorySink scoped;
   Logger::instance().set_level(Level::off);
   { LogRecord(Level::info, __FILE__, __LINE__) << "forced line"; }

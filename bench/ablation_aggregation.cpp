@@ -24,8 +24,8 @@ int main() {
     std::printf("feature set: %s\n",
                 fs == ic::data::FeatureSet::Location ? "Location" : "All");
     for (const auto& c : cases) {
-      const double mse = icbench::evaluate_gnn(ds, split, icbench::GnnVariant::ICNet,
-                                               c.readout, fs, profile);
+      const double mse = icbench::evaluate_gnn(
+          ds, split, icbench::ModelVariant::ICNet, c.readout, fs, profile);
       std::printf("  %-22s test MSE %s\n", c.label, icbench::cell(mse).c_str());
     }
   }

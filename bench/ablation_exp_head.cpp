@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ic/nn/trainer.hpp"
 
 int main() {
   const auto profile = icbench::ExperimentProfile::from_env();
@@ -12,24 +11,19 @@ int main() {
   const auto ds = icbench::dataset1(profile);
   const auto split = ic::data::split_indices(ds.instances.size(), 0.2, 99);
   const auto samples = ic::data::to_gnn_samples(
-      ds, ic::data::FeatureSet::All, ic::data::StructureKind::Adjacency);
+      ds, ic::data::FeatureSet::All,
+      ic::core::structure_kind_for(icbench::ModelVariant::ICNet));
   const auto train = ic::data::take(samples, split.train);
   const auto test = ic::data::take(samples, split.test);
 
+  const auto opt =
+      icbench::train_options_for(ic::nn::Readout::Attention, profile);
   for (bool exp_head : {true, false}) {
-    ic::nn::GnnConfig cfg;
-    cfg.in_features = 7;
-    cfg.hidden = {8, 4};
-    cfg.readout = ic::nn::Readout::Attention;
+    auto cfg = icbench::config_for(icbench::ModelVariant::ICNet,
+                                   ic::nn::Readout::Attention,
+                                   ic::data::FeatureSet::All);
     cfg.exp_head = exp_head;
-    cfg.seed = 1234;
     ic::nn::GnnRegressor model(cfg);
-    ic::nn::TrainOptions opt;
-    opt.max_epochs = profile.gnn_epochs;
-    opt.learning_rate = 0.005;
-    opt.patience = 80;
-    opt.weight_decay = 1e-3;
-    opt.seed = 77;
     ic::nn::train_gnn(model, train, opt);
     std::printf("%-28s test MSE %s\n",
                 exp_head ? "exp head (Eq. 3, ICNet)" : "linear head",

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ic/nn/trainer.hpp"
 
 int main() {
   const auto profile = icbench::ExperimentProfile::from_env();
@@ -24,24 +23,17 @@ int main() {
       {"scaled Laplacian (ChebNet's)", ic::data::StructureKind::ScaledLaplacian},
   };
 
+  const auto cfg = icbench::config_for(icbench::ModelVariant::ICNet,
+                                       ic::nn::Readout::Attention,
+                                       ic::data::FeatureSet::All);
+  const auto opt =
+      icbench::train_options_for(ic::nn::Readout::Attention, profile);
   for (const auto& c : cases) {
     const auto samples =
         ic::data::to_gnn_samples(ds, ic::data::FeatureSet::All, c.kind);
     const auto train = ic::data::take(samples, split.train);
     const auto test = ic::data::take(samples, split.test);
-    ic::nn::GnnConfig cfg;
-    cfg.in_features = 7;
-    cfg.hidden = {8, 4};
-    cfg.readout = ic::nn::Readout::Attention;
-    cfg.exp_head = true;
-    cfg.seed = 1234;
     ic::nn::GnnRegressor model(cfg);
-    ic::nn::TrainOptions opt;
-    opt.max_epochs = profile.gnn_epochs;
-    opt.learning_rate = 0.005;
-    opt.patience = 80;
-    opt.weight_decay = 1e-3;
-    opt.seed = 77;
     ic::nn::train_gnn(model, train, opt);
     std::printf("%-30s test MSE %s\n", c.label,
                 icbench::cell(ic::nn::evaluate_mse(model, test)).c_str());

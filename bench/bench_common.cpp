@@ -64,41 +64,31 @@ Dataset dataset2(const ExperimentProfile& profile) {
       "bench_cache/" + profile.name + "_dataset2.txt");
 }
 
-const char* variant_name(GnnVariant variant) {
+const char* variant_name(ModelVariant variant) {
   switch (variant) {
-    case GnnVariant::Gcn: return "GCN";
-    case GnnVariant::ChebNet: return "ChebNet";
-    case GnnVariant::ICNet: return "ICNet";
+    case ModelVariant::Gcn: return "GCN";
+    case ModelVariant::ChebNet: return "ChebNet";
+    case ModelVariant::ICNet: return "ICNet";
+    case ModelVariant::Sage: break;  // not a row of the paper's tables
   }
   return "?";
 }
 
-namespace {
-
-StructureKind structure_for(GnnVariant variant) {
-  switch (variant) {
-    case GnnVariant::Gcn: return StructureKind::GcnNorm;
-    case GnnVariant::ChebNet: return StructureKind::ScaledLaplacian;
-    case GnnVariant::ICNet: return StructureKind::Adjacency;
-  }
-  return StructureKind::Adjacency;
-}
-
-ic::nn::GnnConfig config_for(GnnVariant variant, Readout readout,
+ic::nn::GnnConfig config_for(ModelVariant variant, Readout readout,
                              FeatureSet features) {
   ic::nn::GnnConfig cfg;
-  cfg.conv_mode = variant == GnnVariant::ChebNet ? ic::nn::ConvMode::Chebyshev
-                                                 : ic::nn::ConvMode::Propagate;
-  cfg.cheb_order = 3;
+  const auto conv = ic::core::convolution_for(variant, 3);
+  cfg.conv_mode = conv.mode;
+  cfg.cheb_order = conv.cheb_order;
   cfg.in_features = ic::data::feature_width(features);
   cfg.hidden = {8, 4};
   cfg.readout = readout;
-  cfg.exp_head = variant == GnnVariant::ICNet;  // Eq. 3 is ICNet's design
+  cfg.exp_head = variant == ModelVariant::ICNet;  // Eq. 3 is ICNet's design
   cfg.seed = 1234;
   return cfg;
 }
 
-ic::nn::TrainOptions train_options_for(ic::nn::Readout readout,
+ic::nn::TrainOptions train_options_for(Readout readout,
                                        const ExperimentProfile& profile) {
   ic::nn::TrainOptions opt;
   opt.max_epochs = profile.gnn_epochs;
@@ -110,6 +100,8 @@ ic::nn::TrainOptions train_options_for(ic::nn::Readout readout,
   opt.seed = 77;
   return opt;
 }
+
+namespace {
 
 const char* readout_name(Readout readout) {
   switch (readout) {
@@ -167,10 +159,10 @@ void flush_bench_json(const std::string& bench_name) {
 }
 
 double evaluate_gnn(const Dataset& dataset, const Split& split,
-                    GnnVariant variant, Readout readout, FeatureSet features,
+                    ModelVariant variant, Readout readout, FeatureSet features,
                     const ExperimentProfile& profile) {
-  const auto samples =
-      ic::data::to_gnn_samples(dataset, features, structure_for(variant));
+  const auto samples = ic::data::to_gnn_samples(
+      dataset, features, ic::core::structure_kind_for(variant));
   const auto train = ic::data::take(samples, split.train);
   const auto test = ic::data::take(samples, split.test);
 
@@ -244,7 +236,8 @@ void print_regression_table(const std::string& title, const Dataset& dataset,
 
   for (const auto& name : ic::ml::baseline_names()) baseline_row(name);
 
-  for (GnnVariant variant : {GnnVariant::ChebNet, GnnVariant::Gcn, GnnVariant::ICNet}) {
+  for (ModelVariant variant :
+       {ModelVariant::ChebNet, ModelVariant::Gcn, ModelVariant::ICNet}) {
     double v[4];
     int i = 0;
     for (FeatureSet fs : {FeatureSet::Location, FeatureSet::All}) {
@@ -271,14 +264,14 @@ TrainedICNet train_icnet_nn(const Dataset& dataset,
                             const ExperimentProfile& profile,
                             FeatureSet features) {
   const Split split = ic::data::split_indices(dataset.instances.size(), 0.2, 99);
-  const auto samples =
-      ic::data::to_gnn_samples(dataset, features, StructureKind::Adjacency);
+  const auto samples = ic::data::to_gnn_samples(
+      dataset, features, ic::core::structure_kind_for(ModelVariant::ICNet));
   TrainedICNet out;
   out.train = ic::data::take(samples, split.train);
   out.test = ic::data::take(samples, split.test);
   out.test_indices = split.test;
   out.model = std::make_unique<ic::nn::GnnRegressor>(
-      config_for(GnnVariant::ICNet, Readout::Attention, features));
+      config_for(ModelVariant::ICNet, Readout::Attention, features));
   const auto report = ic::nn::train_gnn(
       *out.model, out.train, train_options_for(Readout::Attention, profile));
   record_measurement(std::string("icnet_nn.") + feature_name(features) +

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "ic/circuit/netlist.hpp"
+#include "ic/core/estimator.hpp"
 #include "ic/data/dataset.hpp"
 #include "ic/data/profile.hpp"
 #include "ic/nn/regressor.hpp"
+#include "ic/nn/trainer.hpp"
 
 namespace icbench {
 
@@ -26,16 +28,29 @@ ic::circuit::Netlist main_circuit(const ExperimentProfile& profile);
 Dataset dataset1(const ExperimentProfile& profile);
 Dataset dataset2(const ExperimentProfile& profile);
 
-/// Which graph model; mirrors the paper's rows.
-enum class GnnVariant { Gcn, ChebNet, ICNet };
+using ic::core::ModelVariant;
 
-const char* variant_name(GnnVariant variant);
+/// The paper's row name of a graph model ("GCN", "ChebNet", "ICNet").
+const char* variant_name(ModelVariant variant);
+
+/// The benches' GNN recipe: the variant's convolution (core::convolution_for,
+/// order 3), hidden widths {8, 4}, seed 1234, and the exponential head
+/// (Eq. 3) for ICNet only. An ablation overrides the one field it varies.
+ic::nn::GnnConfig config_for(ModelVariant variant, ic::nn::Readout readout,
+                             ic::data::FeatureSet features);
+
+/// Training settings of every bench GNN: the profile's epoch budget, Adam at
+/// 0.005 (0.002 for the Sum readout), patience 80, weight decay 1e-3, seed 77.
+ic::nn::TrainOptions train_options_for(ic::nn::Readout readout,
+                                       const ExperimentProfile& profile);
 
 /// Train a GNN on the dataset's train split and return test MSE.
 /// `readout` Sum/Mean are the fixed aggregations, Attention is the "-NN"
-/// row. Deterministic per (variant, readout, features, profile).
+/// row. The samples use the variant's structure operator
+/// (core::structure_kind_for). Deterministic per (variant, readout,
+/// features, profile).
 double evaluate_gnn(const Dataset& dataset, const ic::data::Split& split,
-                    GnnVariant variant, ic::nn::Readout readout,
+                    ModelVariant variant, ic::nn::Readout readout,
                     ic::data::FeatureSet features,
                     const ExperimentProfile& profile);
 

@@ -42,9 +42,6 @@ std::string_view gate_kind_name(GateKind kind);
 /// Inverse of gate_kind_name; case-insensitive. Throws on unknown names.
 GateKind gate_kind_from_name(std::string_view name);
 
-/// True for the two-or-more input logic kinds (AND/NAND/OR/NOR/XOR/XNOR).
-bool is_multi_input_logic(GateKind kind);
-
 /// True for kinds that compute a Boolean function of fanins (not sources).
 bool is_logic(GateKind kind);
 

@@ -39,20 +39,6 @@ GateKind gate_kind_from_name(std::string_view name) {
   input_error("unknown gate kind: '" + std::string(name) + "'");
 }
 
-bool is_multi_input_logic(GateKind kind) {
-  switch (kind) {
-    case GateKind::And:
-    case GateKind::Nand:
-    case GateKind::Or:
-    case GateKind::Nor:
-    case GateKind::Xor:
-    case GateKind::Xnor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_logic(GateKind kind) {
   return kind != GateKind::Input && kind != GateKind::KeyInput;
 }

@@ -6,6 +6,9 @@
 //   2. fit() an estimator — ICNet by default;
 //   3. predict_seconds() candidate obfuscation gate-sets instantly and keep
 //      the ones the attacker would take longest to break (rank_selections()).
+//
+// Prediction is const: each call runs the forward pass on its own tape, so a
+// fitted estimator keeps no per-call state.
 #pragma once
 
 #include <cstdint>
@@ -72,23 +75,16 @@ class RuntimeEstimator {
   /// Predicted label-scale value, log(1 + runtime in microseconds), for
   /// obfuscating `selection` in the bound circuit. Requires fit() and a
   /// bound circuit.
-  double predict_log_runtime(const std::vector<circuit::GateId>& selection);
+  double predict_log_runtime(
+      const std::vector<circuit::GateId>& selection) const;
 
   /// Predicted de-obfuscation runtime in seconds.
-  double predict_seconds(const std::vector<circuit::GateId>& selection);
+  double predict_seconds(const std::vector<circuit::GateId>& selection) const;
 
   /// Rank candidate gate-sets by predicted runtime, hardest first. Returns
   /// indices into `candidates`.
   std::vector<std::size_t> rank_selections(
-      const std::vector<std::vector<circuit::GateId>>& candidates);
-
-  /// Held-out MSE on (the log targets of) a dataset.
-  double evaluate(const data::Dataset& dataset);
-
-  /// Feature-attention weights from the most recent prediction (Attention
-  /// readout only): index 0 is the gate mask ("gate number" in Table III),
-  /// the rest are the gate-type one-hots.
-  std::vector<double> feature_attention() const;
+      const std::vector<std::vector<circuit::GateId>>& candidates) const;
 
   const EstimatorOptions& options() const { return options_; }
   bool is_fitted() const { return fitted_; }
@@ -110,7 +106,6 @@ class RuntimeEstimator {
 
   EstimatorOptions options_;
   std::unique_ptr<nn::GnnRegressor> model_;
-  nn::Tape last_tape_;  ///< of the most recent prediction; feature_attention()
   std::shared_ptr<const graph::SparseMatrix> structure_;
   std::shared_ptr<const circuit::Netlist> circuit_;
   bool fitted_ = false;

@@ -85,21 +85,23 @@ nn::TrainReport RuntimeEstimator::fit(const data::Dataset& dataset) {
   return report;
 }
 
-double RuntimeEstimator::predict_log_runtime(const std::vector<GateId>& selection) {
+double RuntimeEstimator::predict_log_runtime(
+    const std::vector<GateId>& selection) const {
   IC_CHECK(fitted_, "RuntimeEstimator::predict called before fit()");
   IC_CHECK(circuit_ != nullptr, "no circuit bound; call set_circuit()");
   telemetry::TraceSpan span("estimator/predict");
   telemetry::MetricsRegistry::global().counter("estimator.predictions").add(1);
   const auto x = data::gate_features(*circuit_, selection, options_.features);
-  return model_->forward(*structure_, x, last_tape_);
+  return model_->predict(*structure_, x);
 }
 
-double RuntimeEstimator::predict_seconds(const std::vector<GateId>& selection) {
+double RuntimeEstimator::predict_seconds(
+    const std::vector<GateId>& selection) const {
   return data::seconds_of_label(predict_log_runtime(selection));
 }
 
 std::vector<std::size_t> RuntimeEstimator::rank_selections(
-    const std::vector<std::vector<GateId>>& candidates) {
+    const std::vector<std::vector<GateId>>& candidates) const {
   telemetry::TraceSpan span("estimator/rank_selections");
   telemetry::MetricsRegistry::global()
       .counter("estimator.ranked_candidates")
@@ -113,19 +115,6 @@ std::vector<std::size_t> RuntimeEstimator::rank_selections(
     return predicted[a] > predicted[b];  // hardest (longest runtime) first
   });
   return order;
-}
-
-double RuntimeEstimator::evaluate(const data::Dataset& dataset) {
-  IC_CHECK(fitted_, "RuntimeEstimator::evaluate called before fit()");
-  telemetry::TraceSpan span("estimator/evaluate");
-  auto samples = data::to_gnn_samples(dataset, options_.features, structure_kind());
-  return nn::evaluate_mse(*model_, samples);
-}
-
-std::vector<double> RuntimeEstimator::feature_attention() const {
-  IC_CHECK(options_.readout == nn::Readout::Attention,
-           "feature attention requires the Attention readout");
-  return last_tape_.feat_attention;
 }
 
 void RuntimeEstimator::save(const std::string& path) const {

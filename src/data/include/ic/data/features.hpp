@@ -30,7 +30,4 @@ graph::Matrix gate_features(const circuit::Netlist& circuit,
 /// Column index of the gate-mask feature (always 0).
 inline constexpr std::size_t kMaskColumn = 0;
 
-/// Human-readable names of the feature columns.
-std::vector<std::string> feature_names(FeatureSet set);
-
 }  // namespace ic::data

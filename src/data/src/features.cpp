@@ -37,11 +37,6 @@ std::size_t feature_width(FeatureSet set) {
   return set == FeatureSet::Location ? 1 : 7;
 }
 
-std::vector<std::string> feature_names(FeatureSet set) {
-  if (set == FeatureSet::Location) return {"mask"};
-  return {"mask", "AND", "NOR", "NOT", "NAND", "OR", "XOR"};
-}
-
 Matrix gate_features(const Netlist& nl, const std::vector<GateId>& selection,
                      FeatureSet set) {
   const Timer timer;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <utility>
 #include <vector>
@@ -33,8 +32,6 @@ class Matrix {
                               Rng& rng);
   /// Column vector from values.
   static Matrix column(const std::vector<double>& values);
-  /// Row vector from values.
-  static Matrix row(const std::vector<double>& values);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -71,12 +68,6 @@ class Matrix {
   friend Matrix operator*(Matrix a, double s) { return a *= s; }
   friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
-  /// Hadamard (elementwise) product.
-  Matrix hadamard(const Matrix& other) const;
-
-  /// Elementwise map.
-  Matrix apply(const std::function<double(double)>& fn) const;
-
   // ---- products ----------------------------------------------------------
   /// Matrix product this(rows,k) * other(k,cols).
   Matrix matmul(const Matrix& other) const;
@@ -85,9 +76,7 @@ class Matrix {
   // ---- reductions --------------------------------------------------------
   std::vector<double> row_sums() const;
   std::vector<double> col_sums() const;
-  std::vector<double> row_means() const;
   std::vector<double> col_means() const;
-  double sum() const;
   double frobenius_norm() const;
 
   /// Extract column c as a std::vector.

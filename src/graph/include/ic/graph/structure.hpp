@@ -22,9 +22,6 @@ namespace ic::graph {
 /// Symmetrized 0/1 adjacency matrix of the netlist's gate graph.
 SparseMatrix adjacency(const circuit::Netlist& netlist);
 
-/// Degree vector of the symmetrized graph.
-std::vector<double> degrees(const SparseMatrix& adjacency);
-
 /// Combinatorial Laplacian L = D − A.
 SparseMatrix laplacian(const SparseMatrix& adjacency);
 

@@ -43,12 +43,6 @@ Matrix Matrix::column(const std::vector<double>& values) {
   return m;
 }
 
-Matrix Matrix::row(const std::vector<double>& values) {
-  Matrix m(1, values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) m(0, i) = values[i];
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   IC_ASSERT(same_shape(other));
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
@@ -64,19 +58,6 @@ Matrix& Matrix::operator-=(const Matrix& other) {
 Matrix& Matrix::operator*=(double s) {
   for (double& v : data_) v *= s;
   return *this;
-}
-
-Matrix Matrix::hadamard(const Matrix& other) const {
-  IC_ASSERT(same_shape(other));
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::apply(const std::function<double(double)>& fn) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v = fn(v);
-  return out;
 }
 
 namespace {
@@ -147,26 +128,12 @@ std::vector<double> Matrix::col_sums() const {
   return out;
 }
 
-std::vector<double> Matrix::row_means() const {
-  auto out = row_sums();
-  if (cols_ > 0) {
-    for (double& v : out) v /= static_cast<double>(cols_);
-  }
-  return out;
-}
-
 std::vector<double> Matrix::col_means() const {
   auto out = col_sums();
   if (rows_ > 0) {
     for (double& v : out) v /= static_cast<double>(rows_);
   }
   return out;
-}
-
-double Matrix::sum() const {
-  double s = 0.0;
-  for (double v : data_) s += v;
-  return s;
 }
 
 double Matrix::frobenius_norm() const {

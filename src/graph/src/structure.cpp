@@ -45,8 +45,6 @@ SparseMatrix adjacency(const Netlist& nl) {
                                      std::move(v2));
 }
 
-std::vector<double> degrees(const SparseMatrix& a) { return a.row_sums(); }
-
 SparseMatrix laplacian(const SparseMatrix& a) {
   IC_ASSERT(a.rows() == a.cols());
   const std::size_t n = a.rows();

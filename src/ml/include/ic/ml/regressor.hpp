@@ -33,16 +33,12 @@ class VectorRegressor {
   double mse(const graph::Matrix& x, const std::vector<double>& y) const;
 };
 
-/// Factory over the baseline zoo. Known names: "LR", "RR", "LASSO", "EN",
-/// "SVR_RBF", "SVR_POLY", "SGD", "PAR", "OMP", "LARS", "Theil" (the paper's
-/// table) plus the extensions "DT", "RF", "KNN".
+/// Factory over the paper's baseline rows: "LR", "RR", "LASSO", "EN",
+/// "SVR_RBF", "SVR_POLY", "SGD", "PAR", "OMP", "LARS", "Theil".
 std::unique_ptr<VectorRegressor> make_regressor(const std::string& name,
                                                 std::uint64_t seed = 1);
 
 /// The paper's baseline rows, in table order.
 std::vector<std::string> baseline_names();
-
-/// Extension models beyond the paper's table.
-std::vector<std::string> extension_names();
 
 }  // namespace ic::ml

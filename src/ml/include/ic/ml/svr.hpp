@@ -36,9 +36,6 @@ class Svr : public VectorRegressor {
     return options_.kernel == Kernel::Rbf ? "SVR_RBF" : "SVR_POLY";
   }
 
-  /// Number of expansion coefficients with |β| above threshold.
-  std::size_t support_count(double threshold = 1e-9) const;
-
  private:
   double kernel_value(const std::vector<double>& a,
                       const std::vector<double>& b) const;

@@ -5,7 +5,6 @@
 #include "ic/ml/online_models.hpp"
 #include "ic/ml/robust_models.hpp"
 #include "ic/ml/svr.hpp"
-#include "ic/ml/tree_models.hpp"
 #include "ic/support/assert.hpp"
 
 namespace ic::ml {
@@ -57,9 +56,6 @@ std::unique_ptr<VectorRegressor> make_regressor(const std::string& name,
   if (name == "OMP") return std::make_unique<OrthogonalMatchingPursuit>();
   if (name == "LARS") return std::make_unique<Lars>();
   if (name == "Theil") return std::make_unique<TheilSen>(40, seed);
-  if (name == "DT") return std::make_unique<DecisionTreeRegressor>(12, 3, 0, seed);
-  if (name == "RF") return std::make_unique<RandomForestRegressor>(30, 12, seed);
-  if (name == "KNN") return std::make_unique<KnnRegressor>(5);
   input_error("unknown regressor '" + name + "'");
 }
 
@@ -67,7 +63,5 @@ std::vector<std::string> baseline_names() {
   return {"SVR_RBF", "SVR_POLY", "SGD", "LR",   "RR",   "LASSO",
           "EN",      "OMP",      "PAR", "LARS", "Theil"};
 }
-
-std::vector<std::string> extension_names() { return {"DT", "RF", "KNN"}; }
 
 }  // namespace ic::ml

@@ -127,12 +127,4 @@ double Svr::predict_one(const std::vector<double>& x) const {
   return acc;
 }
 
-std::size_t Svr::support_count(double threshold) const {
-  std::size_t count = 0;
-  for (double b : beta_) {
-    if (std::fabs(b) > threshold) ++count;
-  }
-  return count;
-}
-
 }  // namespace ic::ml

@@ -74,7 +74,6 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   bool okay() const { return ok_; }
   std::size_t num_clauses() const { return num_problem_clauses_; }
-  std::size_t num_learnts() const { return num_learnt_clauses_; }
 
  private:
   static constexpr ClauseRef kNoReason = kRefUndef;
@@ -125,7 +124,6 @@ class Solver {
   void heap_insert(Var v);
   void heap_update(Var v);
   Var heap_pop();
-  bool heap_empty() const { return heap_.empty(); }
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
 

@@ -129,7 +129,6 @@ class ProgressJob {
   /// Add to completion and stamp the liveness tick.
   void advance(std::uint64_t delta = 1);
 
-  void set_total(std::uint64_t total);
   /// `phase` must be a string literal / static string (stored by pointer).
   void set_phase(const char* phase);
   /// Up to two named auxiliary counters (e.g. solver conflicts and

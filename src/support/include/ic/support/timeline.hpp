@@ -61,8 +61,6 @@ struct Timeline {
 
   bool started() const { return last_us_ != 0; }
 
-  std::int64_t last_mark_us() const { return last_us_; }
-
  private:
   std::int64_t last_us_ = 0;
 };

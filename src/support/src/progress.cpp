@@ -187,10 +187,6 @@ void ProgressJob::advance(std::uint64_t delta) {
   slot_->last_tick_us.store(process_micros(), std::memory_order_relaxed);
 }
 
-void ProgressJob::set_total(std::uint64_t total) {
-  if (slot_ != nullptr) slot_->total.store(total, std::memory_order_relaxed);
-}
-
 void ProgressJob::set_phase(const char* phase) {
   if (slot_ == nullptr) return;
   slot_->phase.store(phase, std::memory_order_relaxed);

@@ -115,9 +115,6 @@ TEST(GateHelpers, LogicClassification) {
   EXPECT_FALSE(is_logic(GateKind::KeyInput));
   EXPECT_TRUE(is_logic(GateKind::Nand));
   EXPECT_TRUE(is_logic(GateKind::Lut));
-  EXPECT_TRUE(is_multi_input_logic(GateKind::Xor));
-  EXPECT_FALSE(is_multi_input_logic(GateKind::Not));
-  EXPECT_FALSE(is_multi_input_logic(GateKind::Lut));
 }
 
 }  // namespace

@@ -32,9 +32,6 @@ TEST(Features, AllEncodingAddsOneHotTypes) {
   const Netlist nl = circuit::c17();  // all logic gates are NAND
   const auto x = gate_features(nl, {}, FeatureSet::All);
   EXPECT_EQ(x.cols(), 7u);
-  const auto names = feature_names(FeatureSet::All);
-  ASSERT_EQ(names.size(), 7u);
-  EXPECT_EQ(names[0], "mask");
   // NAND slot is index 4 (mask, AND, NOR, NOT, NAND...).
   for (GateId g = 0; g < nl.size(); ++g) {
     if (circuit::is_logic(nl.gate(g).kind)) {

@@ -32,8 +32,6 @@ TEST(Matrix, ArithmeticOps) {
   EXPECT_DOUBLE_EQ(diff(1, 1), 4.0);
   const Matrix scaled = a * 2.0;
   EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
-  const Matrix had = a.hadamard(b);
-  EXPECT_DOUBLE_EQ(had(0, 1), 12.0);
 }
 
 TEST(Matrix, MatmulKnownProduct) {
@@ -69,18 +67,14 @@ TEST(Matrix, TransposeInvolution) {
 
 TEST(Matrix, Reductions) {
   const Matrix m{{1, 2}, {3, 4}};
-  EXPECT_DOUBLE_EQ(m.sum(), 10.0);
   EXPECT_DOUBLE_EQ(m.row_sums()[0], 3.0);
   EXPECT_DOUBLE_EQ(m.col_sums()[1], 6.0);
-  EXPECT_DOUBLE_EQ(m.row_means()[1], 3.5);
   EXPECT_DOUBLE_EQ(m.col_means()[0], 2.0);
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), std::sqrt(30.0));
 }
 
-TEST(Matrix, ApplyAndColumnVec) {
+TEST(Matrix, ColumnVec) {
   const Matrix m{{1, -2}, {-3, 4}};
-  const Matrix abs = m.apply([](double v) { return std::fabs(v); });
-  EXPECT_DOUBLE_EQ(abs(1, 0), 3.0);
   const auto col = m.column_vec(1);
   ASSERT_EQ(col.size(), 2u);
   EXPECT_DOUBLE_EQ(col[0], -2.0);
@@ -140,13 +134,11 @@ TEST(Matrix, RandomRespectsBounds) {
   }
 }
 
-TEST(Matrix, RowAndColumnFactories) {
-  const Matrix r = Matrix::row({1, 2, 3});
-  EXPECT_EQ(r.rows(), 1u);
-  EXPECT_EQ(r.cols(), 3u);
+TEST(Matrix, ColumnFactory) {
   const Matrix c = Matrix::column({4, 5});
   EXPECT_EQ(c.rows(), 2u);
   EXPECT_EQ(c.cols(), 1u);
+  const Matrix r{{1, 2, 3}};
   EXPECT_DOUBLE_EQ(r.matmul(Matrix::column({1, 1, 1}))(0, 0), 6.0);
 }
 

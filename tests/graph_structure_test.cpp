@@ -43,7 +43,7 @@ TEST(Structure, AdjacencyClampsParallelWires) {
 }
 
 TEST(Structure, DegreesMatchPathGraph) {
-  const auto deg = degrees(adjacency(chain()));
+  const auto deg = adjacency(chain()).row_sums();
   EXPECT_DOUBLE_EQ(deg[0], 1.0);
   EXPECT_DOUBLE_EQ(deg[1], 2.0);
   EXPECT_DOUBLE_EQ(deg[2], 1.0);

@@ -109,7 +109,6 @@ TEST(SvrRbf, FitsNonlinearFunction) {
   Svr svr(opt);
   svr.fit(x, y);
   EXPECT_LT(svr.mse(x, y), 0.05);
-  EXPECT_GT(svr.support_count(), 0u);
 }
 
 TEST(SvrPoly, FitsCubicTrend) {
@@ -233,88 +232,6 @@ TEST(Factory, AllBaselinesFitATinyTask) {
     const double m = model->mse(task.x, task.y);
     EXPECT_TRUE(std::isfinite(m) || name == "SGD") << name << " mse " << m;
   }
-}
-
-}  // namespace
-}  // namespace ic::ml
-
-#include "ic/ml/tree_models.hpp"
-
-namespace ic::ml {
-namespace {
-
-TEST(DecisionTree, FitsAStepFunctionExactly) {
-  // y = 1 when x0 > 0, else -1: one split suffices.
-  Rng rng(20);
-  Matrix x(100, 2);
-  std::vector<double> y(100);
-  for (std::size_t i = 0; i < 100; ++i) {
-    x(i, 0) = rng.uniform(-1.0, 1.0);
-    x(i, 1) = rng.uniform(-1.0, 1.0);
-    y[i] = x(i, 0) > 0 ? 1.0 : -1.0;
-  }
-  DecisionTreeRegressor dt(6, 2);
-  dt.fit(x, y);
-  EXPECT_LT(dt.mse(x, y), 1e-10);
-  EXPECT_DOUBLE_EQ(dt.predict_one({0.9, 0.0}), 1.0);
-  EXPECT_DOUBLE_EQ(dt.predict_one({-0.9, 0.0}), -1.0);
-}
-
-TEST(DecisionTree, DepthLimitBoundsComplexity) {
-  Rng rng(21);
-  Matrix x(200, 1);
-  std::vector<double> y(200);
-  for (std::size_t i = 0; i < 200; ++i) {
-    x(i, 0) = rng.uniform(-3.0, 3.0);
-    y[i] = std::sin(x(i, 0));
-  }
-  DecisionTreeRegressor shallow(2, 2);
-  shallow.fit(x, y);
-  DecisionTreeRegressor deep(10, 2);
-  deep.fit(x, y);
-  EXPECT_LT(deep.mse(x, y), shallow.mse(x, y));
-  EXPECT_LT(shallow.node_count(), deep.node_count());
-}
-
-TEST(RandomForest, BeatsSingleTreeOutOfSample) {
-  Rng rng(22);
-  auto make = [&](std::size_t n) {
-    Matrix x(n, 4);
-    std::vector<double> y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < 4; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
-      y[i] = x(i, 0) * x(i, 1) + 0.5 * x(i, 2) + rng.normal(0.0, 0.1);
-    }
-    return std::pair{x, y};
-  };
-  const auto [xtr, ytr] = make(300);
-  const auto [xte, yte] = make(150);
-  DecisionTreeRegressor dt(14, 2);
-  dt.fit(xtr, ytr);
-  RandomForestRegressor rf(40, 14, 7);
-  rf.fit(xtr, ytr);
-  EXPECT_LT(rf.mse(xte, yte), dt.mse(xte, yte));
-}
-
-TEST(Knn, InterpolatesLocally) {
-  Matrix x(5, 1);
-  std::vector<double> y{0.0, 1.0, 2.0, 3.0, 4.0};
-  for (std::size_t i = 0; i < 5; ++i) x(i, 0) = static_cast<double>(i);
-  KnnRegressor knn(1);
-  knn.fit(x, y);
-  EXPECT_DOUBLE_EQ(knn.predict_one({2.2}), 2.0);  // nearest is x=2
-  KnnRegressor knn3(3);
-  knn3.fit(x, y);
-  EXPECT_DOUBLE_EQ(knn3.predict_one({2.0}), 2.0);  // mean of {1,2,3}
-}
-
-TEST(Knn, KLargerThanDatasetFallsBackToGlobalMean) {
-  Matrix x(3, 1);
-  std::vector<double> y{1.0, 2.0, 6.0};
-  for (std::size_t i = 0; i < 3; ++i) x(i, 0) = static_cast<double>(i);
-  KnnRegressor knn(10);
-  knn.fit(x, y);
-  EXPECT_DOUBLE_EQ(knn.predict_one({0.0}), 3.0);
 }
 
 }  // namespace

@@ -24,6 +24,17 @@ struct LutLockResult {
 /// LUT input count; selected gates with more fanins keep their own arity.
 inline constexpr std::size_t kLutSize = 4;
 
+/// Entry g is gate g's index in `order`, a topological order of the circuit:
+/// the number of gates lut_lock may draw g's pad fanins from.
+std::vector<std::size_t> topological_positions(
+    const std::vector<circuit::GateId>& order);
+
+/// Inputs of the LUT lut_lock puts in place of `gate`, which sits at
+/// topological position `position`: its own fanins, padded toward kLutSize
+/// with distinct gates that precede it. A gate with too few predecessors
+/// gets a narrower LUT. The LUT adds 2^lut_inputs key bits.
+std::size_t lut_inputs(const circuit::Gate& gate, std::size_t position);
+
 /// Replace `gates` (ids into `original`) with key-programmed LUTs; `seed`
 /// chooses the camouflage pad fanins. Preconditions: every id refers to a
 /// logic gate (not a source), no duplicates. The returned netlist preserves

@@ -13,6 +13,26 @@ using circuit::GateId;
 using circuit::GateKind;
 using circuit::Netlist;
 
+std::vector<std::size_t> topological_positions(
+    const std::vector<GateId>& order) {
+  std::vector<std::size_t> position(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  return position;
+}
+
+std::size_t lut_inputs(const Gate& gate, std::size_t position) {
+  const std::size_t base = gate.fanins.size();
+  if (base >= kLutSize) return base;
+  // Every fanin precedes the gate, so the pad candidates are the other
+  // `position - distinct fanins` predecessors.
+  const auto& fanins = gate.fanins;
+  std::size_t distinct = 0;
+  for (auto it = fanins.begin(); it != fanins.end(); ++it) {
+    if (std::find(fanins.begin(), it, *it) == it) ++distinct;
+  }
+  return base + std::min(kLutSize - base, position - distinct);
+}
+
 LutLockResult lut_lock(const Netlist& original,
                        const std::vector<GateId>& gates,
                        std::uint64_t seed) {
@@ -28,8 +48,7 @@ LutLockResult lut_lock(const Netlist& original,
   // topological predecessors (or unrelated earlier gates), which can never
   // create a cycle.
   const auto order = original.topological_order();
-  std::vector<std::size_t> topo_pos(original.size());
-  for (std::size_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = i;
+  const auto topo_pos = topological_positions(order);
 
   for (GateId id : gates) {
     const Gate& g = original.gate(id);
@@ -40,9 +59,10 @@ LutLockResult lut_lock(const Netlist& original,
 
     std::vector<GateId> fanins = g.fanins;
     const std::size_t base_arity = fanins.size();
+    const std::size_t arity = lut_inputs(g, topo_pos[id]);
 
     // Pad with camouflage fanins drawn from topological predecessors.
-    if (base_arity < kLutSize) {
+    if (base_arity < arity) {
       std::vector<GateId> candidates;
       for (GateId cand : order) {
         if (topo_pos[cand] >= topo_pos[id]) break;
@@ -50,15 +70,10 @@ LutLockResult lut_lock(const Netlist& original,
         candidates.push_back(cand);
       }
       rng.shuffle(candidates);
-      for (GateId cand : candidates) {
-        if (fanins.size() >= kLutSize) break;
-        fanins.push_back(cand);
-      }
-      // Tiny circuits may not have enough predecessors; the LUT then simply
-      // has fewer inputs.
+      IC_ASSERT(candidates.size() >= arity - base_arity);
+      candidates.resize(arity - base_arity);
+      fanins.insert(fanins.end(), candidates.begin(), candidates.end());
     }
-
-    const std::size_t arity = fanins.size();
     const std::size_t bits = std::size_t{1} << arity;
 
     // Correct key = the original function replicated across pad addresses.

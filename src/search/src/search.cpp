@@ -40,16 +40,21 @@ LockScheme scheme_from_name(const std::string& name) {
   ic::input_error("unknown lock scheme '" + name + "' (lut4|xor|antisat)");
 }
 
-std::size_t key_bits_for(LockScheme scheme,
-                         const std::vector<GateId>& selection,
-                         const Netlist& circuit, std::size_t budget) {
+namespace {
+
+/// key_bits_for with the circuit's topological positions
+/// (locking::topological_positions) computed by the caller.
+std::size_t count_key_bits(LockScheme scheme,
+                           const std::vector<GateId>& selection,
+                           const Netlist& circuit,
+                           const std::vector<std::size_t>& positions,
+                           std::size_t budget) {
   switch (scheme) {
     case LockScheme::Lut4: {
       std::size_t bits = 0;
       for (const GateId id : selection) {
-        const std::size_t arity = std::max<std::size_t>(
-            locking::kLutSize, circuit.gate(id).fanins.size());
-        bits += static_cast<std::size_t>(1) << arity;
+        bits += std::size_t{1}
+                << locking::lut_inputs(circuit.gate(id), positions[id]);
       }
       return bits;
     }
@@ -60,6 +65,16 @@ std::size_t key_bits_for(LockScheme scheme,
   }
   IC_ASSERT_MSG(false, "unhandled LockScheme");
   return 0;
+}
+
+}  // namespace
+
+std::size_t key_bits_for(LockScheme scheme,
+                         const std::vector<GateId>& selection,
+                         const Netlist& circuit, std::size_t budget) {
+  return count_key_bits(
+      scheme, selection, circuit,
+      locking::topological_positions(circuit.topological_order()), budget);
 }
 
 namespace {
@@ -80,13 +95,18 @@ struct ObjectiveContext {
   const Netlist& circuit;
   const SearchOptions& options;
   std::vector<int> depths;
+  std::vector<std::size_t> positions;  ///< locking::topological_positions
+
+  std::size_t key_bits(const std::vector<GateId>& selection) const {
+    return count_key_bits(options.scheme, selection, circuit, positions,
+                          options.budget);
+  }
 
   double overhead(const std::vector<GateId>& selection) const {
     double penalty = 0.0;
     if (options.objective.area_weight != 0.0) {
       penalty += options.objective.area_weight *
-                 static_cast<double>(key_bits_for(options.scheme, selection,
-                                                  circuit, options.budget));
+                 static_cast<double>(key_bits(selection));
     }
     if (options.objective.depth_weight != 0.0) {
       int max_depth = 0;
@@ -156,7 +176,9 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
   report.num_gates = circuit.size();
   report.options = options;
 
-  ObjectiveContext ctx{circuit, options, circuit.depths()};
+  ObjectiveContext ctx{
+      circuit, options, circuit.depths(),
+      locking::topological_positions(circuit.topological_order())};
 
   const std::size_t total_steps = options.greedy_steps + options.sa_steps;
   telemetry::ProgressJob progress("search", total_steps);
@@ -286,8 +308,7 @@ SearchReport policy_search(const Netlist& circuit, EngineOracle& oracle,
       verified.predicted_log_runtime = ranked[i]->second.second;
       verified.predicted_seconds =
           data::seconds_of_label(verified.predicted_log_runtime);
-      verified.key_bits =
-          key_bits_for(options.scheme, selection, circuit, options.budget);
+      verified.key_bits = ctx.key_bits(selection);
 
       Netlist locked;
       switch (options.scheme) {

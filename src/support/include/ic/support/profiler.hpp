@@ -18,6 +18,7 @@
 //   * `ICNET_PROFILE_OUT=file.folded` in the environment (see
 //      profile_from_env()).  ICNET_PROFILE is the experiment profile
 //      (ci|paper), not this.
+// A `%p` in either output path becomes the process id (set_profile_output).
 #pragma once
 
 #include <atomic>
@@ -112,7 +113,9 @@ bool profile_from_env();
 /// the profiler and write the folded capture there. Idempotent per arming.
 void profile_flush();
 
-/// Register the exit-time output path used by profile_flush().
+/// Register the exit-time output path used by profile_flush(). Each "%p"
+/// in `path` becomes the process id, so processes that share one configured
+/// path (servers started with one ICNET_PROFILE_OUT) write separate files.
 void set_profile_output(const std::string& path);
 
 }  // namespace ic::telemetry

@@ -37,7 +37,8 @@ namespace ic::telemetry {
 /// half-written file.
 void dump_metrics(const std::string& path);
 
-/// Write the global trace buffer as Chrome trace-event JSON to `path`.
+/// Write the global trace buffer as Chrome trace-event JSON to `path`, and
+/// warn once with the count when the buffer dropped spans.
 void dump_trace(const std::string& path);
 
 /// Background thread that periodically snapshots the global metrics registry

@@ -12,10 +12,12 @@
 // array of complete events (`"ph":"X"`, microsecond timestamps) that loads
 // directly in chrome://tracing or Perfetto.
 //
-// The collector keeps every span until clear(), so spans mark coarse phases
-// (an attack, a DIP, a model load, a prepared-state build). A path run once
-// per served request opens none: the request's Timeline (timeline.hpp) is
-// its record, bounded in a TraceStore.
+// The collector keeps the first TraceCollector::kMaxEvents spans until
+// clear() and counts the rest as dropped, so a long-lived process under
+// --trace-out holds a bounded buffer. Spans mark coarse phases (an attack, a
+// DIP, a model load, a prepared-state build). A path run once per served
+// request opens none: the request's Timeline (timeline.hpp) is its record,
+// bounded in a TraceStore.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,10 @@ struct TraceEvent {
 /// Process-wide buffer of finished spans.
 class TraceCollector {
  public:
+  /// Spans kept; later ones are dropped and counted. Far above one CLI run
+  /// (a 268-DIP attack records about 270 spans), and a few MB at most.
+  static constexpr std::size_t kMaxEvents = std::size_t{1} << 16;
+
   static TraceCollector& global();
   TraceCollector() = default;
   TraceCollector(const TraceCollector&) = delete;
@@ -46,8 +52,11 @@ class TraceCollector {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
+  /// Keep `event`, or count it as dropped when kMaxEvents are kept.
   void record(TraceEvent event);
   std::size_t size() const;
+  /// Spans dropped since the last clear().
+  std::uint64_t dropped() const;
   void clear();
 
   /// Plain JSON array of Chrome trace events, oldest first.
@@ -58,6 +67,7 @@ class TraceCollector {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
+  std::uint64_t dropped_ = 0;
 };
 
 /// RAII span against the global collector. When collection is disabled at

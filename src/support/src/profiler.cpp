@@ -5,6 +5,7 @@
 #include <sys/time.h>
 #include <time.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -310,8 +311,17 @@ bool Profiler::write_folded(const std::string& path) const {
 // ---- env / exit-time arming ---------------------------------------------
 
 void set_profile_output(const std::string& path) {
+  std::string expanded;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path.compare(i, 2, "%p") == 0) {
+      expanded += std::to_string(getpid());
+      ++i;
+    } else {
+      expanded += path[i];
+    }
+  }
   std::lock_guard<std::mutex> lock(g_profile_output_mu);
-  g_profile_output = path;
+  g_profile_output = std::move(expanded);
 }
 
 namespace {

@@ -27,7 +27,13 @@ void dump_metrics(const std::string& path) {
 void dump_trace(const std::string& path) {
   std::ofstream out(path);
   IC_CHECK(out.good(), "dump_trace: cannot open " << path);
-  TraceCollector::global().write_chrome_json(out);
+  const TraceCollector& collector = TraceCollector::global();
+  collector.write_chrome_json(out);
+  if (const std::uint64_t dropped = collector.dropped(); dropped > 0) {
+    ICLOG(warn) << "trace buffer full: later spans dropped" << kv("path", path)
+                << kv("kept", TraceCollector::kMaxEvents)
+                << kv("dropped", dropped);
+  }
 }
 
 MetricsFlusher::MetricsFlusher(std::string path,

@@ -26,6 +26,10 @@ TraceCollector& TraceCollector::global() {
 
 void TraceCollector::record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (events_.size() >= kMaxEvents) {
+    ++dropped_;
+    return;
+  }
   events_.push_back(std::move(event));
 }
 
@@ -34,9 +38,15 @@ std::size_t TraceCollector::size() const {
   return events_.size();
 }
 
+std::uint64_t TraceCollector::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
 void TraceCollector::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
+  dropped_ = 0;
 }
 
 void TraceCollector::write_chrome_json(std::ostream& os) const {

@@ -157,15 +157,28 @@ TEST(SelectionParse, CheckRejectsOutOfRangeAndDuplicatesWithContext) {
 
 TEST(KeyBits, PerScheme) {
   // The area term must count the key inputs the verification lock adds.
-  const Netlist circuit = test_circuit();
-  const std::vector<GateId> selections[] = {{40, 50, 60}, {12}, {15, 33, 63}};
-  for (const std::vector<GateId>& selection : selections) {
-    SCOPED_TRACE(selection.size());
+  // g = AND(a, b) has two predecessors, so its LUT pads to 2 inputs, not 4.
+  Netlist and2("and2");
+  const GateId a = and2.add_input("a");
+  const GateId b = and2.add_input("b");
+  and2.mark_output(and2.add_gate(circuit::GateKind::And, {a, b}, "g"));
+  const Netlist generated = test_circuit();
+  const struct {
+    const Netlist& circuit;
+    std::vector<GateId> selection;
+  } cases[] = {{generated, {40, 50, 60}},
+               {generated, {12}},
+               {generated, {15, 33, 63}},
+               {and2, {2}}};
+  for (const auto& [circuit, selection] : cases) {
+    SCOPED_TRACE(circuit.name() + " selection of " +
+                 std::to_string(selection.size()));
     EXPECT_EQ(key_bits_for(LockScheme::Lut4, selection, circuit, 3),
               locking::lut_lock(circuit, selection, 5).locked.num_keys());
     EXPECT_EQ(key_bits_for(LockScheme::Xor, selection, circuit, 3),
               locking::xor_lock(circuit, selection, 5).locked.num_keys());
     for (const std::size_t width : {2u, 6u}) {
+      if (width > circuit.num_inputs()) continue;  // Anti-SAT taps inputs
       EXPECT_EQ(key_bits_for(LockScheme::AntiSat, selection, circuit, width),
                 locking::anti_sat_lock(circuit, selection[0], {width, 5})
                     .locked.num_keys());

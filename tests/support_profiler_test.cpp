@@ -4,6 +4,7 @@
 // TSan CI job too — the handler/consumer interplay must stay clean under
 // instrumentation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -231,6 +232,24 @@ TEST(Profiler, OnlyProfileOutArmsTheSamplerFromTheEnvironment) {
   profile_flush();
   EXPECT_FALSE(profiler.running());
   EXPECT_TRUE(std::ifstream(path).good()) << "no folded capture at " << path;
+}
+
+TEST(Profiler, PercentPInTheOutputPathBecomesThePid) {
+  // Servers started with one ICNET_PROFILE_OUT must not overwrite each
+  // other's capture at exit.
+  Profiler& profiler = Profiler::global();
+  ASSERT_FALSE(profiler.running());
+  const std::string dir = ::testing::TempDir();
+  const std::string expected =
+      dir + "p." + std::to_string(getpid()) + ".folded";
+  std::remove(expected.c_str());
+  set_profile_output(dir + "p.%p.folded");
+  ASSERT_TRUE(profiler.start({}));
+  profile_flush();
+  EXPECT_FALSE(profiler.running());
+  EXPECT_TRUE(std::ifstream(expected).good()) << "no capture at " << expected;
+  EXPECT_FALSE(std::ifstream(dir + "p.%p.folded").good());
+  std::remove(expected.c_str());
 }
 
 TEST(Profiler, BadEnvironmentFieldWarnsNamingTheValue) {

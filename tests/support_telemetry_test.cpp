@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "ic/serve/wire.hpp"
 #include "ic/support/telemetry.hpp"
 
 namespace ic::telemetry {
@@ -422,6 +423,51 @@ TEST(Trace, SpanTimestampsNest) {
   const auto outer_pos = json.find("nest_outer");
   EXPECT_LT(inner_pos, outer_pos);
   collector.clear();
+}
+
+TEST(Trace, CollectorKeepsTheFirstSpansAndCountsTheRest) {
+  // A server under --trace-out records spans for as long as it runs; the
+  // collector must hold a bounded buffer and say how much it dropped.
+  TraceCollector collector;
+  constexpr std::size_t kExtra = 5;
+  for (std::size_t i = 0; i < TraceCollector::kMaxEvents + kExtra; ++i) {
+    TraceEvent event;
+    event.name = "test/capped";
+    event.ts_us = static_cast<std::int64_t>(i);
+    collector.record(std::move(event));
+  }
+  EXPECT_EQ(collector.size(), TraceCollector::kMaxEvents);
+  EXPECT_EQ(collector.dropped(), kExtra);
+
+  const auto json = serve::JsonValue::parse(collector.to_chrome_json());
+  ASSERT_TRUE(json.is_array());
+  ASSERT_EQ(json.items().size(), TraceCollector::kMaxEvents);
+  // Oldest first: the kept spans are the first ones recorded.
+  EXPECT_EQ(json.items().front().find("ts")->as_number(), 0.0);
+  EXPECT_EQ(json.items().back().find("ts")->as_number(),
+            static_cast<double>(TraceCollector::kMaxEvents - 1));
+
+  collector.clear();
+  EXPECT_EQ(collector.size(), 0u);
+  EXPECT_EQ(collector.dropped(), 0u);
+}
+
+TEST(Trace, DumpTraceWarnsOnceWithTheDropCount) {
+  auto& collector = TraceCollector::global();
+  collector.clear();
+  for (std::size_t i = 0; i < TraceCollector::kMaxEvents + 3; ++i) {
+    collector.record({"test/dump_capped", 0, 0, 0});
+  }
+  ScopedMemorySink scoped;
+  const std::string path = ::testing::TempDir() + "capped_trace.json";
+  dump_trace(path);
+  collector.clear();
+  std::remove(path.c_str());
+
+  const auto lines = scoped.sink().lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("WARN"), std::string::npos);
+  EXPECT_NE(lines[0].find("dropped=3"), std::string::npos) << lines[0];
 }
 
 // ---- dump_metrics / MetricsFlusher -----------------------------------------

@@ -67,9 +67,10 @@
 //                         99 Hz) for the whole command and write
 //                         flamegraph-compatible folded stacks to <file> on
 //                         exit. ICNET_PROFILE_OUT=path[,hz][,seconds] arms the
-//                         same profiler from the environment; on a live
-//                         server, {"op":"profile"} starts/stops/dumps it
-//                         without restarting (see `query --op profile`)
+//                         same profiler from the environment. A %p in either
+//                         path becomes the process id. On a live server,
+//                         {"op":"profile"} starts/stops/dumps it without
+//                         restarting (see `query --op profile`)
 //
 // Parallelism, accepted by every subcommand:
 //   --jobs N              worker threads for the parallel loops (dataset

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Lint shell commands quoted in the operator docs.
+"""Lint the repository paths and shell commands quoted in the docs.
 
-Every fenced ``bash``/``sh``/``console`` block in README.md and DESIGN.md is
-parsed and each command line is checked against the repository:
+Every fenced ``bash``/``sh``/``console`` block in README.md, DESIGN.md and
+EXPERIMENTS.md is parsed and each command line is checked against the
+repository:
 
 * binaries under ``build/`` must correspond to a real source target
   (``build/examples/icnet_cli`` -> ``examples/icnet_cli.cpp``, same for
@@ -14,6 +15,12 @@ parsed and each command line is checked against the repository:
 * bare command names must be on the small allowlist of system tools the
   docs may assume.
 
+Outside the fenced blocks, in prose and tables, every backticked path that
+starts with a repository directory (``src/``, ``bench/``, ...) must exist,
+after stripping trailing punctuation and a ``:line`` suffix.
+``bench/<name>``, ``tests/<name>`` and ``examples/<name>`` may name a build
+target whose ``<name>.cpp`` exists.
+
 Run from the repository root:  python3 scripts/docs_lint.py
 Exits nonzero listing every stale reference, so CI catches docs rot the
 moment a flag or file is renamed.
@@ -24,7 +31,7 @@ import shlex
 import sys
 from pathlib import Path
 
-DOCS = ["README.md", "DESIGN.md"]
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 FENCE_LANGS = {"bash", "sh", "shell", "console"}
 
 # System tools the docs may reference without the repo providing them.
@@ -33,11 +40,17 @@ SYSTEM_TOOLS = {
     "echo", "tail", "head", "grep", "sort", "watch", "kill", "mkdir",
     "curl", "git", "sleep", "wait", "true", "for", "do", "done", "if",
     "then", "fi", "while", "read", "seq", "jq", "diff", "env", "nproc",
+    "tee",
 }
 
 # Path prefixes that must exist in the repo when mentioned as arguments.
 REPO_PREFIXES = ("scripts/", "docs/", "tests/", "src/", "examples/",
                  "bench/", ".github/")
+
+# Path prefixes checked when a backticked token in prose or a table
+# starts with one.
+PROSE_PREFIXES = ("src/", "bench/", "tests/", "examples/", "scripts/",
+                  "perfbench/", ".github/")
 
 
 def fenced_blocks(text):
@@ -56,6 +69,17 @@ def fenced_blocks(text):
             j += 1
         yield lang, start + 1, "\n".join(lines[start:j])
         i = j + 1
+
+
+def prose_lines(text):
+    """Yield (line_number, line) for every line outside the fenced blocks."""
+    in_fence = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if re.match(r"^\s*```", line):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            yield lineno, line
 
 
 def command_lines(lang, block):
@@ -151,6 +175,20 @@ class Linter:
         if clean.startswith(REPO_PREFIXES) and not (self.root / clean).exists():
             self.error(doc, lineno, f"referenced file '{clean}' does not exist")
 
+    def check_prose_path(self, doc, lineno, token):
+        path = token.split()[0]
+        path = re.sub(r"[.,;:)]+$", "", path)
+        path = re.sub(r":\d+(-\d+)?$", "", path)
+        if any(ch in path for ch in "*$<>{}"):
+            return  # globs / placeholders are fine
+        if (self.root / path).exists():
+            return
+        target = re.match(r"^(bench|tests|examples)/([\w.-]+)$", path)
+        if target and (self.root / target.group(1) /
+                       (target.group(2) + ".cpp")).exists():
+            return
+        self.error(doc, lineno, f"referenced path '{path}' does not exist")
+
     def check_cli_invocation(self, doc, lineno, tokens):
         args = [t for t in tokens[1:] if not t.startswith("$")]
         if args and not args[0].startswith("-"):
@@ -216,6 +254,10 @@ class Linter:
                 for command in command_lines(lang, block):
                     for segment in split_segments(command):
                         self.check_segment(doc, lineno, segment)
+            for lineno, line in prose_lines(text):
+                for token in re.findall(r"`([^`]+)`", line):
+                    if token.strip().startswith(PROSE_PREFIXES):
+                        self.check_prose_path(doc, lineno, token.strip())
         return self.errors
 
 
@@ -227,8 +269,8 @@ def main():
         for err in errors:
             print(f"  {err}")
         return 1
-    print("docs-lint: all fenced shell commands reference real "
-          "binaries, flags, and files")
+    print("docs-lint: all fenced shell commands and backticked paths "
+          "reference real binaries, flags, and files")
     return 0
 
 

@@ -10,7 +10,6 @@
 #include "ic/data/dataset_io.hpp"
 #include "ic/data/metrics.hpp"
 #include "ic/ml/regressor.hpp"
-#include "ic/nn/trainer.hpp"
 #include "ic/support/strings.hpp"
 #include "ic/support/telemetry.hpp"
 #include "ic/support/thread_pool.hpp"

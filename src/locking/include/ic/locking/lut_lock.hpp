@@ -25,7 +25,7 @@ struct LutLockResult {
 inline constexpr std::size_t kLutSize = 4;
 
 /// Entry g is gate g's index in `order`, a topological order of the circuit:
-/// the number of gates lut_lock may draw g's pad fanins from.
+/// the number of gates that precede g, which lut_lock draws g's pads from.
 std::vector<std::size_t> topological_positions(
     const std::vector<circuit::GateId>& order);
 
